@@ -214,9 +214,8 @@ def _cmd_endcurve(args):
             "violation", {"message": f"{args.root!r} is not a leaf"}, EXIT_REFUSED
         )
     system = _default_system(diagram, args.seed)
-    rooted = root(diagram, args.root)
-    ecs = end_curve_system(system, rooted)
-    curve = parameterize(ecs, rooted)
+    ecs = end_curve_system(system, root(diagram, args.root))
+    curve = parameterize(ecs)
     return "ok", docs.endcurve_report(curve, binomial_reduce(ecs)), EXIT_OK
 
 

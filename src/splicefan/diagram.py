@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import GenerationExhausted
-from .exact import gcd_list
 
 # half-edge weight pool for the random generator: primes and prime powers <= 49
 WEIGHT_POOL = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
@@ -155,20 +154,22 @@ class SpliceDiagram:
         path.reverse()
         return path
 
-    def leaves_beyond(self, v, u):
-        """Leaves whose geodesic from v starts with the edge [v, u]."""
+    def beyond(self, v, u):
+        """Vertices whose geodesic from v starts with the edge [v, u]."""
         seen = {v, u}
         stack = [u]
-        out = []
         while stack:
-            x = stack.pop()
-            if self.is_leaf(x):
-                out.append(x)
-            for y in self._adj[x]:
+            for y in self._adj[stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        return sorted(out, key=self._leaf_index.get)
+        seen.discard(v)
+        return seen
+
+    def leaves_beyond(self, v, u):
+        """Leaves whose geodesic from v starts with the edge [v, u], in leaf order."""
+        side = self.beyond(v, u)
+        return [l for l in self.leaves if l in side]
 
     # -- linking numbers -----------------------------------------------------
 
@@ -634,7 +635,3 @@ def _reduced_links_beyond(v, u, far, adjacency, leaves_at, weights):
                     prod *= weights[(x, z)]
             stack.append((y, x, prod))
     return out
-
-
-def coprime_overall(vector) -> bool:
-    return gcd_list(vector) == 1

@@ -7,6 +7,7 @@ number ranges.  Parsing is strict: unknown keys are rejected.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .diagram import SpliceDiagram
@@ -36,6 +37,21 @@ def format_complex(z) -> list:
     if isinstance(z, (Fraction, int)):
         return [format_rational(z), "0"]
     return [repr(z.real), repr(z.imag)]
+
+
+def _require_list(value, what):
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} must be an array")
+    return value
+
+
+def _parse_int(value, what, where):
+    """A JSON integer, or a string of decimal digits with an optional sign."""
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(f"bad {what} {value!r} in {where}")
+    return value
 
 
 def _require_keys(doc, required, optional=(), what="document"):
@@ -70,16 +86,6 @@ def diagram_to_doc(diagram: SpliceDiagram) -> dict:
     }
 
 
-def _parse_weight(value, where):
-    if isinstance(value, str):
-        if not value.lstrip("-").isdigit():
-            raise DocumentError(f"bad weight {value!r} in {where}")
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(f"bad weight {value!r} in {where}")
-    return value
-
-
 def diagram_from_doc(doc) -> SpliceDiagram:
     _require_keys(doc, ("leaves", "nodes", "edges"), what="diagram document")
     leaves, nodes = doc["leaves"], doc["nodes"]
@@ -89,20 +95,22 @@ def diagram_from_doc(doc) -> SpliceDiagram:
         raise DocumentError("vertex ids must be strings")
     node_set = set(nodes)
     edges = []
-    for entry in doc["edges"]:
+    for entry in _require_list(doc["edges"], "edges"):
         _require_keys(entry, ("a", "b"), ("wa", "wb"), what="edge")
         a, b = entry["a"], entry["b"]
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise DocumentError(f"edge endpoints {a!r}, {b!r} must be vertex ids")
         wa = wb = None
         if a in node_set:
             if "wa" not in entry:
                 raise DocumentError(f"edge ({a},{b}) misses 'wa' at node {a!r}")
-            wa = _parse_weight(entry["wa"], f"edge ({a},{b})")
+            wa = _parse_int(entry["wa"], "weight", f"edge ({a},{b})")
         elif "wa" in entry:
             raise DocumentError(f"edge ({a},{b}) carries 'wa' at leaf {a!r}")
         if b in node_set:
             if "wb" not in entry:
                 raise DocumentError(f"edge ({a},{b}) misses 'wb' at node {b!r}")
-            wb = _parse_weight(entry["wb"], f"edge ({a},{b})")
+            wb = _parse_int(entry["wb"], "weight", f"edge ({a},{b})")
         elif "wb" in entry:
             raise DocumentError(f"edge ({a},{b}) carries 'wb' at leaf {b!r}")
         edges.append((a, b, wa, wb))
@@ -119,12 +127,13 @@ def polynomial_to_terms(poly: Polynomial) -> list:
 
 def terms_to_polynomial(terms, n) -> Polynomial:
     out = []
-    for entry in terms:
+    for entry in _require_list(terms, "terms"):
         _require_keys(entry, ("c", "m"), what="term")
         m = entry["m"]
         if not isinstance(m, list) or len(m) != n:
             raise DocumentError(f"exponent vector {m!r} has the wrong length")
-        out.append((tuple(int(e) for e in m), parse_rational(entry["c"])))
+        exponent = tuple(_parse_int(e, "exponent", f"term {m!r}") for e in m)
+        out.append((exponent, parse_rational(entry["c"])))
     return Polynomial(out)
 
 
@@ -152,9 +161,12 @@ def system_from_doc(doc) -> SpliceSystem:
     tails = {}
     coweights = {}
     by_node = {}
-    for entry in doc["equations"]:
+    for entry in _require_list(doc["equations"], "equations"):
         _require_keys(entry, ("node", "index", "terms"), ("tail",), what="equation")
-        by_node.setdefault(entry["node"], []).append(entry)
+        node, index = entry["node"], entry["index"]
+        if not isinstance(node, str) or type(index) is not int:
+            raise DocumentError(f"equation ({node!r}, {index!r}) needs a node id and index")
+        by_node.setdefault(node, []).append(entry)
     for v in diagram.nodes:
         entries = sorted(by_node.get(v, []), key=lambda e: e["index"])
         if [e["index"] for e in entries] != list(range(1, diagram.valency(v) - 1)):
@@ -231,17 +243,27 @@ def fan_to_doc(fan: SpliceFan) -> dict:
 def fan_input_from_doc(doc) -> FanInput:
     _require_keys(doc, ("n", "rays", "cones"), what="fan document")
     rays = {}
-    for entry in doc["rays"]:
+    for entry in _require_list(doc["rays"], "rays"):
         _require_keys(entry, ("label", "vector"), what="ray")
-        rays[entry["label"]] = tuple(int(x) for x in entry["vector"])
+        label = entry["label"]
+        if not isinstance(label, str):
+            raise DocumentError(f"ray label {label!r} must be a string")
+        vector = _require_list(entry["vector"], f"vector of ray {label!r}")
+        rays[label] = tuple(_parse_int(x, "entry", f"ray {label!r}") for x in vector)
     cones = {}
-    for entry in doc["cones"]:
+    for entry in _require_list(doc["cones"], "cones"):
         _require_keys(entry, ("rays", "multiplicity"), what="cone")
         pair = entry["rays"]
-        if len(pair) != 2:
+        if not (
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, str) for x in pair) and pair[0] != pair[1]
+        ):
             raise DocumentError(f"cone {pair!r} must have two rays")
-        cones[frozenset(pair)] = int(entry["multiplicity"])
-    return FanInput(n=int(doc["n"]), rays=rays, cones=cones)
+        cones[frozenset(pair)] = _parse_int(
+            entry["multiplicity"], "multiplicity", f"cone {pair!r}"
+        )
+    n = _parse_int(doc["n"], "dimension", "fan document")
+    return FanInput(n=n, rays=rays, cones=cones)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ are the linking numbers from the root divided by their gcd.
 from __future__ import annotations
 
 import cmath
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import inf
 
 from .diagram import SpliceDiagram
 from .errors import EliminationDegenerate, SolveFailed
@@ -20,6 +21,8 @@ from .exact import gcd_list, nullspace_one, smith_normal_form
 from .system import Polynomial, SpliceSystem
 
 NUMERIC_TOL = 1e-9
+
+_numeric = threading.local()
 
 
 @dataclass(frozen=True)
@@ -51,15 +54,11 @@ class EndCurveSystem:
 
 def end_curve_system(system: SpliceSystem, rooted: RootedDiagram) -> EndCurveSystem:
     """Drop, in each minimal equation, the admissible monomial toward the root."""
-    diagram = system.diagram
-    equations = []
-    for eq in system.equations:
-        block = system.blocks[eq.node]
-        toward = diagram.first_step(eq.node, rooted.root)
-        j = block.star.index(toward)
-        dropped = Polynomial.monomial(block.exponents[j], block.matrix.rows[j][eq.index - 1])
-        equations.append((eq.node, eq.index, eq.minimal - dropped))
-    return EndCurveSystem(rooted=rooted, system=system, equations=tuple(equations))
+    equations = tuple(
+        (eq.node, eq.index, system.without_toward(eq, rooted.root))
+        for eq in system.equations
+    )
+    return EndCurveSystem(rooted=rooted, system=system, equations=equations)
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +75,9 @@ class Binomial:
     const: Fraction
 
     def polynomial(self) -> Polynomial:
-        """Primitive-integer rendering gamma_l * z^lhs + gamma_r * z^rhs."""
-        num = Fraction(self.const)
-        # z^lhs - const z^rhs, scaled to coprime integers with the rhs sign
-        # chosen so the pair (1, -const) keeps denominator-free entries
-        a, b = Fraction(1), -num
-        scale = Fraction(a.denominator * b.denominator // gcd(a.denominator, b.denominator))
-        a, b = a * scale, b * scale
-        g = gcd(int(a), int(b))
-        return Polynomial([(self.lhs, a / g), (self.rhs, b / g)])
+        """Primitive-integer rendering q * z^lhs - p * z^rhs of const = p/q."""
+        const = Fraction(self.const)
+        return Polynomial([(self.lhs, const.denominator), (self.rhs, -const.numerator)])
 
 
 @dataclass(frozen=True)
@@ -126,12 +119,10 @@ def node_binomials(system: SpliceSystem, v, drop_position):
 
 
 def binomial_reduce(ecs: EndCurveSystem) -> BinomialSystem:
-    diagram = ecs.system.diagram
+    system = ecs.system
     relations = []
-    for v in diagram.nodes:
-        block = ecs.system.blocks[v]
-        toward = diagram.first_step(v, ecs.rooted.root)
-        relations.extend(node_binomials(ecs.system, v, block.star.index(toward)))
+    for v in system.diagram.nodes:
+        relations.extend(node_binomials(system, v, system.toward(v, ecs.rooted.root)))
     return BinomialSystem(rooted=ecs.rooted, relations=tuple(relations))
 
 
@@ -159,6 +150,20 @@ def _reduce_columns(mat, kernels):
             if best:
                 for k in range(width):
                     mat[k][j] += best * kernel[k]
+
+
+def _mp_context():
+    """This thread's own 60-digit mpmath context, made on its first numeric
+    solve; the global ``mpmath.mp`` is never touched.  One per thread rather
+    than one per solve: making a context costs about as much as a small
+    solve."""
+    ctx = getattr(_numeric, "ctx", None)
+    if ctx is None:
+        from mpmath import MPContext
+
+        ctx = _numeric.ctx = MPContext()
+        ctx.dps = 60
+    return ctx
 
 
 def solve_binomial_torus(rows, consts, width):
@@ -219,50 +224,44 @@ def solve_binomial_torus(rows, consts, width):
     # numeric branch: log space at high precision (the Smith transforms can
     # carry large integer entries that would amplify double-precision noise),
     # with the exponent matrix reduced along the kernel first
-    from mpmath import mp, mpc, exp as mp_exp, log as mp_log, pi as mp_pi
-
+    ctx = _mp_context()
     exps = [[v[k][i] for i in range(rank)] for k in range(width)]
     _reduce_columns(exps, kernels)
 
-    old_dps = mp.dps
-    mp.dps = 60
-    try:
-        logk_mp = [
-            mp_log(mpc(c.numerator)) - mp_log(mpc(c.denominator)) for c in kappa
-        ]
-        base_logy = [
-            sum(u[i][j] * logk_mp[j] for j in range(n_rows)) / diag[i]
+    logk_mp = [
+        ctx.log(ctx.mpc(c.numerator)) - ctx.log(ctx.mpc(c.denominator)) for c in kappa
+    ]
+    base_logy = [
+        sum(u[i][j] * logk_mp[j] for j in range(n_rows)) / diag[i]
+        for i in range(rank)
+    ]
+    solutions = []
+    torsion_ranges = [range(d) for d in diag[:rank]]
+
+    def emit(torsion):
+        logy = [
+            base_logy[i] + 2 * ctx.pi * ctx.mpc(0, 1) * torsion[i] / diag[i]
             for i in range(rank)
         ]
-        solutions = []
-        torsion_ranges = [range(d) for d in diag[:rank]]
+        logx = [
+            sum(exps[k][i] * logy[i] for i in range(rank)) for k in range(width)
+        ]
+        for kernel in kernels:
+            weight = sum(c * c for c in kernel)
+            if weight == 0:
+                continue
+            shift = -sum(logx[k].real * kernel[k] for k in range(width)) / weight
+            logx = [logx[k] + shift * kernel[k] for k in range(width)]
+        solutions.append(tuple(complex(ctx.exp(val)) for val in logx))
 
-        def emit(torsion):
-            logy = [
-                base_logy[i] + 2 * mp_pi * mpc(0, 1) * torsion[i] / diag[i]
-                for i in range(rank)
-            ]
-            logx = [
-                sum(exps[k][i] * logy[i] for i in range(rank)) for k in range(width)
-            ]
-            for kernel in kernels:
-                weight = sum(c * c for c in kernel)
-                if weight == 0:
-                    continue
-                shift = -sum(logx[k].real * kernel[k] for k in range(width)) / weight
-                logx = [logx[k] + shift * kernel[k] for k in range(width)]
-            solutions.append(tuple(complex(mp_exp(val)) for val in logx))
+    def expand(prefix, level):
+        if level == rank:
+            emit(prefix)
+            return
+        for t in torsion_ranges[level]:
+            expand(prefix + [t], level + 1)
 
-        def expand(prefix, level):
-            if level == rank:
-                emit(prefix)
-                return
-            for t in torsion_ranges[level]:
-                expand(prefix + [t], level + 1)
-
-        expand([], 0)
-    finally:
-        mp.dps = old_dps
+    expand([], 0)
     return solutions, False
 
 
@@ -282,22 +281,30 @@ class MonomialCurve:
     exact: bool
 
 
-def parameterize(ecs: EndCurveSystem, rooted: RootedDiagram | None = None) -> MonomialCurve:
-    rooted = rooted or ecs.rooted
+def torus_components(system: SpliceSystem, toward, leaves, nodes):
+    """Torus components of the binomial relations at ``nodes``, each node
+    having dropped its admissible monomial toward the vertex ``toward``.
+
+    One coordinate per leaf of ``leaves``; returns the (solutions, exact)
+    pair of solve_binomial_torus.
+    """
+    positions = [system.diagram.leaf_index(leaf) for leaf in leaves]
+    rows, consts = [], []
+    for v in nodes:
+        for rel in node_binomials(system, v, system.toward(v, toward)):
+            rows.append([rel.lhs[p] - rel.rhs[p] for p in positions])
+            consts.append(rel.const)
+    return solve_binomial_torus(rows, consts, len(leaves))
+
+
+def parameterize(ecs: EndCurveSystem) -> MonomialCurve:
+    rooted = ecs.rooted
     links = rooted.links()
     g = gcd_list(links)
     exponents = tuple(l // g for l in links)
-    index = {leaf: i for i, leaf in enumerate(rooted.others)}
-    binomials = binomial_reduce(ecs)
-    rows, consts = [], []
-    for rel in binomials.relations:
-        row = [0] * len(rooted.others)
-        for leaf, i in index.items():
-            pos = ecs.system.diagram.leaf_index(leaf)
-            row[i] = rel.lhs[pos] - rel.rhs[pos]
-        rows.append(row)
-        consts.append(rel.const)
-    solutions, exact = solve_binomial_torus(rows, consts, len(rooted.others))
+    solutions, exact = torus_components(
+        ecs.system, rooted.root, rooted.others, ecs.system.diagram.nodes
+    )
     if len(solutions) != g:
         raise SolveFailed(
             f"expected {g} components, binomial system produced {len(solutions)}"
@@ -319,11 +326,16 @@ def verify_parameterization(curve: MonomialCurve, ecs: EndCurveSystem) -> bool:
     """Substitute z_l = c_l t^(e_l) and check every equation collapses.
 
     Terms are grouped by their t-degree, so the check is exact for rational
-    coefficient vectors and safely scaled for numeric ones.
+    coefficient vectors; for numeric ones each degree's sum must be small
+    against its largest term, however small that term is.  A numeric
+    component also fails when a coefficient is zero or not finite, when a
+    power overflows, or when a residual or its scale is not finite.
     """
     diagram = ecs.system.diagram
     positions = [diagram.leaf_index(leaf) for leaf in curve.leaves]
     for coeffs in curve.components:
+        if any(isinstance(c, complex) and not (c and cmath.isfinite(c)) for c in coeffs):
+            return False
         exact = all(isinstance(c, Fraction) for c in coeffs)
         for _, _, poly in ecs.equations:
             degrees = {}
@@ -331,9 +343,12 @@ def verify_parameterization(curve: MonomialCurve, ecs: EndCurveSystem) -> bool:
             for m, c in poly.terms:
                 degree = sum(m[p] * e for p, e in zip(positions, curve.exponents))
                 value = c if exact else complex(c)
-                for p, cf in zip(positions, coeffs):
-                    if m[p]:
-                        value = value * cf ** m[p]
+                try:
+                    for p, cf in zip(positions, coeffs):
+                        if m[p]:
+                            value = value * cf ** m[p]
+                except OverflowError:
+                    return False
                 degrees[degree] = degrees.get(degree, 0) + value
                 if not exact:
                     magnitudes[degree] = max(magnitudes.get(degree, 0.0), abs(value))
@@ -341,6 +356,6 @@ def verify_parameterization(curve: MonomialCurve, ecs: EndCurveSystem) -> bool:
                 if exact:
                     if total != 0:
                         return False
-                elif abs(total) > NUMERIC_TOL * max(magnitudes[degree], 1.0):
+                elif not abs(total) <= NUMERIC_TOL * magnitudes[degree] < inf:
                     return False
     return True

@@ -124,21 +124,6 @@ def solve_exact(rows, rhs):
     return tuple(sol)
 
 
-def in_row_span(target, rows) -> bool:
-    """Exact membership of an integer/rational vector in the span of rows."""
-    if all(x == 0 for x in target):
-        return True
-    if not rows:
-        return False
-    reduced, pivots = rref(rows)
-    vec = [Fraction(x) for x in target]
-    for row, p in zip(reduced, pivots):
-        if vec[p] != 0:
-            f = vec[p]
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return all(x == 0 for x in vec)
-
-
 # ---------------------------------------------------------------------------
 # Integer (unimodular) elimination
 # ---------------------------------------------------------------------------
@@ -244,24 +229,3 @@ def smith_normal_form(matrix):
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
     return u, a, v
-
-
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def mat_inverse_int(matrix):
-    """Inverse of a unimodular integer matrix, again with integer entries."""
-    n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = []
-    for row in reduced:
-        entries = row[n:]
-        if any(x.denominator != 1 for x in entries):
-            raise ValueError("matrix is not unimodular")
-        inv.append([int(x) for x in entries])
-    return inv

@@ -14,11 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from math import gcd
 
 from .diagram import SpliceDiagram
-from .endcurve import node_binomials, solve_binomial_torus
+from .endcurve import torus_components
 from .errors import (
     InconsistentMembership,
     NonIntegralMultiplicity,
@@ -26,7 +25,7 @@ from .errors import (
     VerificationFailed,
 )
 from .exact import dot, gcd_list, primitive, unimodular_to_unit
-from .system import Polynomial, SpliceSystem
+from .system import Polynomial, SpliceSystem, combination
 
 RANK_TOL = 1e-9
 
@@ -105,10 +104,10 @@ def splice_fan(diagram: SpliceDiagram) -> SpliceFan:
             )
             mult = _exact_div(g, diagram.weight(node, leaf), f"cone [{leaf},{node}]")
         else:
-            side_a = [l for l in diagram.leaves if l in _side(diagram, a, b)]
-            side_b = [l for l in diagram.leaves if l in _side(diagram, b, a)]
-            g = gcd_list(diagram.linking_number(a, l) for l in side_a) * gcd_list(
-                diagram.linking_number(b, l) for l in side_b
+            g = gcd_list(
+                diagram.linking_number(a, l) for l in diagram.leaves_beyond(b, a)
+            ) * gcd_list(
+                diagram.linking_number(b, l) for l in diagram.leaves_beyond(a, b)
             )
             mult = _exact_div(
                 g,
@@ -117,11 +116,6 @@ def splice_fan(diagram: SpliceDiagram) -> SpliceFan:
             )
         cones.append(Cone2(rays=(a, b), multiplicity=mult))
     return SpliceFan(diagram, rays, cones)
-
-
-def _side(diagram, u, v):
-    """Leaves whose geodesic to v passes through u (u's side of edge [u,v])."""
-    return set(diagram.leaves) - set(diagram.leaves_beyond(u, v))
 
 
 def embed_vertex(diagram: SpliceDiagram, v):
@@ -306,9 +300,7 @@ def _combination_coefficients(system, v, keep):
 
 
 def _verify_certificate(system, w, kill, cert: Certificate):
-    combo = Polynomial.zero()
-    for eq, c in zip(system.equations_at(cert.node), cert.coefficients):
-        combo = combo + eq.full.scale(c)
+    combo = combination(system, cert.node, cert.coefficients)
     if kill:
         combo = combo.truncate(kill)
     if combo.initial_form(w) != Polynomial.monomial(cert.monomial):
@@ -368,7 +360,7 @@ def monomial_in_span_oracle(generators, w):
     for m, row in rows.items():
         den = 1
         for c in row:
-            den = den * c.denominator // _gcd_int(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         scaled[m] = tuple(int(c * den) for c in row)
 
     order = sorted(scaled, key=lambda m: (dot(w, m), [-e for e in m]))
@@ -386,29 +378,16 @@ def monomial_in_span_oracle(generators, w):
             if not _in_int_span(row, basis + [_reduce_row(r, basis) for r in others]):
                 return m
         for _, row in group:
-            reduced = _reduce_row(row, basis)
-            if any(reduced):
-                basis.append(_primitive_row(reduced))
-                basis.sort(key=_lead_index)
+            _insert_row(basis, row)
     return None
-
-
-def _gcd_int(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _lead_index(row):
     return next((i for i, x in enumerate(row) if x), len(row))
 
 
-def _primitive_row(row):
-    g = gcd_list(row)
-    return tuple(x // g for x in row) if g else tuple(row)
-
-
 def _reduce_row(row, basis):
+    """Primitive integer remainder of row against an echelon basis."""
     row = list(row)
     for b in basis:
         lead = _lead_index(b)
@@ -419,14 +398,19 @@ def _reduce_row(row, basis):
     return [x // g for x in row] if g else row
 
 
+def _insert_row(basis, row):
+    """Add row's nonzero remainder to the basis, kept sorted by lead index."""
+    reduced = _reduce_row(row, basis)
+    if any(reduced):
+        basis.append(reduced)
+        basis.sort(key=_lead_index)
+
+
 def _in_int_span(target, rows):
     basis = []
     for r in rows:
-        reduced = _reduce_row(r, basis)
-        if any(reduced):
-            basis.append(_primitive_row(reduced))
-            basis.sort(key=_lead_index)
-    return not any(_reduce_row(list(target), basis))
+        _insert_row(basis, r)
+    return not any(_reduce_row(target, basis))
 
 
 def initial_ideal_generators(system: SpliceSystem, w):
@@ -632,6 +616,8 @@ def _log_jacobian_ratio(gens, logz):
     each row rescaled by its largest term so nothing overflows."""
     import cmath
 
+    import numpy as np
+
     n = len(logz)
     mat = np.zeros((len(gens), n), dtype=complex)
     for i, g in enumerate(gens):
@@ -698,12 +684,9 @@ def _sample_log_point(system: SpliceSystem, cell: CellLocation, rng):
         point[leaf] = _random_log_unit(rng)
     else:
         for near, far in ((a, b), (b, a)):
-            side_nodes = [
-                x for x in diagram.nodes if near in diagram.geodesic(x, far)
-            ]
-            side_leaves = [
-                l for l in diagram.leaves if near in diagram.geodesic(l, far)
-            ]
+            side = diagram.beyond(far, near)
+            side_nodes = [x for x in diagram.nodes if x in side]
+            side_leaves = [l for l in diagram.leaves if l in side]
             point.update(
                 _end_curve_logs(system, far, side_leaves, side_nodes, rng)
             )
@@ -738,20 +721,7 @@ def _end_curve_logs(system, root_vertex, side_leaves, side_nodes, rng):
 
 
 def _component_choice(system, root_vertex, side_leaves, side_nodes, rng):
-    diagram = system.diagram
-    index = {l: i for i, l in enumerate(side_leaves)}
-    rows, consts = [], []
-    for v in side_nodes:
-        block = system.blocks[v]
-        drop = block.star.index(diagram.first_step(v, root_vertex))
-        for rel in node_binomials(system, v, drop):
-            row = [0] * len(side_leaves)
-            for l, i in index.items():
-                p = diagram.leaf_index(l)
-                row[i] = rel.lhs[p] - rel.rhs[p]
-            rows.append(row)
-            consts.append(rel.const)
-    solutions, _ = solve_binomial_torus(rows, consts, len(side_leaves))
+    solutions, _ = torus_components(system, root_vertex, side_leaves, side_nodes)
     return solutions[rng.randrange(len(solutions))]
 
 
@@ -762,10 +732,9 @@ def _sample_node_ray_logs(system, node, rng):
     branch_data = {}
     for u in block.star:
         if diagram.is_node(u):
-            side_nodes = [
-                x for x in diagram.nodes if u in diagram.geodesic(x, node)
-            ]
-            side_leaves = diagram.leaves_beyond(node, u)
+            side = diagram.beyond(node, u)
+            side_nodes = [x for x in diagram.nodes if x in side]
+            side_leaves = [l for l in diagram.leaves if l in side]
             links = {l: diagram.reduced_linking(node, l) for l in side_leaves}
             g = gcd_list(links.values())
             index = {l: i for i, l in enumerate(side_leaves)}

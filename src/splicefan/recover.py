@@ -212,7 +212,6 @@ def _recover_tree(fan: FanInput) -> SpliceDiagram:
         wb = inner._weights.get((b, a))
         if a == u or b == u:
             # u turns back into a node; its weight toward v is d_uv
-            node_end, other = (a, b) if b != u else (b, a)
             if a == u:
                 wa = d_uv
             else:

@@ -130,15 +130,6 @@ class Polynomial:
             total = total + prod
         return total
 
-    def partial(self, index) -> "Polynomial":
-        out = []
-        for m, c in self.terms:
-            if m[index]:
-                lowered = list(m)
-                lowered[index] -= 1
-                out.append((tuple(lowered), c * m[index]))
-        return Polynomial(out)
-
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
@@ -284,8 +275,17 @@ class SpliceSystem:
     def polynomials(self):
         return [eq.full for eq in self.equations]
 
-    def minimal_parts(self):
-        return [eq.minimal for eq in self.equations]
+    def toward(self, v, x) -> int:
+        """Star position at node v of the edge that starts the geodesic to x."""
+        return self.blocks[v].star.index(self.diagram.first_step(v, x))
+
+    def without_toward(self, eq, x) -> Polynomial:
+        """The minimal part of eq with its admissible monomial toward x dropped."""
+        block = self.blocks[eq.node]
+        j = self.toward(eq.node, x)
+        return eq.minimal - Polynomial.monomial(
+            block.exponents[j], block.matrix.rows[j][eq.index - 1]
+        )
 
     def __repr__(self):
         return f"SpliceSystem({len(self.equations)} equations on {self.diagram!r})"
@@ -371,13 +371,7 @@ def predicted_initial_form(system: SpliceSystem, v, i, u) -> Polynomial:
     """Initial form of equation (v, i) at a node weight vector: unchanged at
     the node itself, otherwise the admissible monomial toward u is dropped."""
     eq = next(e for e in system.equations if e.node == v and e.index == i)
-    if u == v:
-        return eq.minimal
-    block = system.blocks[v]
-    toward = system.diagram.first_step(v, u)
-    j = block.star.index(toward)
-    dropped = Polynomial.monomial(block.exponents[j], block.matrix.rows[j][i - 1])
-    return eq.minimal - dropped
+    return eq.minimal if u == v else system.without_toward(eq, u)
 
 
 def combination(system: SpliceSystem, v, y) -> Polynomial:

@@ -71,7 +71,7 @@ def test_criterion_2_end_curve_golden(d1, d1_system):
     rooted = root(d1, "l1")
     assert rooted.links() == (49, 30, 42, 105)
     ecs = end_curve_system(d1_system, rooted)
-    curve = parameterize(ecs, rooted)
+    curve = parameterize(ecs)
     assert curve.g == 1 and curve.exponents == (49, 30, 42, 105)
     relations = {
         (rel.lhs, rel.rhs): rel.const for rel in binomial_reduce(ecs).relations
@@ -144,7 +144,7 @@ def test_criterion_5_boundary_tropicalization(pool_boundary):
             assert boundary_trop(system, list(pair), samples=50, seed=5) is None
         for leaf in d.leaves:
             rooted = root(d, leaf)
-            curve = parameterize(end_curve_system(system, rooted), rooted)
+            curve = parameterize(end_curve_system(system, rooted))
             ray = boundary_trop(system, [leaf], samples=8, seed=5)
             assert ray == curve.exponents
     print(f"criterion 5 (boundary tropicalization, {len(pool_boundary)} diagrams): PASS")

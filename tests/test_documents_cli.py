@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import worked_coefficients
-from splicefan import DocumentError, Polynomial, build_system
+from splicefan import DocumentError, Polynomial, build_system, cli
 from splicefan.documents import (
     diagram_from_doc,
     diagram_to_doc,
@@ -100,6 +100,15 @@ def test_fan_doc_round_trip(d1_fan):
     fan_input = fan_input_from_doc(doc)
     assert fan_input.rays["v"] == (210, 140, 110, 154, 385)
     assert all(m == 1 for m in fan_input.cones.values())
+
+
+def test_system_doc_rejects_mistyped_exponents(d1):
+    doc = system_to_doc(build_system(d1, coeffs=worked_coefficients()))
+    for bad in ("x", [1], 1.5, None):
+        mistyped = json.loads(json.dumps(doc))
+        mistyped["equations"][0]["terms"][0]["m"][0] = bad
+        with pytest.raises(DocumentError):
+            system_from_doc(mistyped)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -253,3 +262,41 @@ def test_cli_member_w_file(d1_path, tmp_path):
     payload = json.loads(out)["payload"]
     assert code == 0
     assert [q["result"] for q in payload["queries"]] == ["out", "in"]
+
+
+def _d1_fan_doc():
+    return {
+        "n": 5,
+        "rays": [{"label": l, "vector": [int(i == k) for i in range(5)]}
+                 for k, l in enumerate(D1_DOC["leaves"])]
+        + [{"label": "u", "vector": [147, 98, 60, 84, 210]},
+           {"label": "v", "vector": [210, 140, 110, 154, 385]}],
+        "cones": [{"rays": [e["a"], e["b"]], "multiplicity": 1} for e in D1_DOC["edges"]],
+    }
+
+
+def _mistyped(doc, change):
+    doc = json.loads(json.dumps(doc))
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("recover", _mistyped(_d1_fan_doc(), lambda d: d["rays"][0].update(vector=["x"] * 5))),
+        ("recover", _mistyped(_d1_fan_doc(), lambda d: d.update(n="five"))),
+        ("recover", _mistyped(_d1_fan_doc(), lambda d: d["cones"][0].update(rays=[["u"], "l1"]))),
+        ("check", _mistyped(D1_DOC, lambda d: d.update(edges=5))),
+        ("check", _mistyped(D1_DOC, lambda d: d["edges"][0].update(a=["u"]))),
+    ],
+    ids=["ray-entry", "fan-dimension", "cone-ray", "edges", "edge-endpoint"],
+)
+def test_cli_rejects_mistyped_documents(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
+    assert err == ""

@@ -1,5 +1,9 @@
 """End-curves: rooted linking numbers, binomial reduction, parameterization."""
 
+import json
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -12,11 +16,14 @@ from splicefan import (
     binomial_reduce,
     boundary_trop,
     build_system,
+    cli,
     end_curve_system,
     parameterize,
+    random_diagram,
     root,
     verify_parameterization,
 )
+from splicefan.documents import diagram_to_doc
 
 F = Fraction
 
@@ -79,7 +86,7 @@ def test_binomial_reduction_detects_broken_hamm(d1, d1_system):
 
 def test_parameterize_worked_example(d1_system, d1):
     rooted = root(d1, "l1")
-    curve = parameterize(end_curve_system(d1_system, rooted), rooted)
+    curve = parameterize(end_curve_system(d1_system, rooted))
     assert curve.exponents == (49, 30, 42, 105)
     assert curve.g == 1 and len(curve.components) == 1
 
@@ -120,7 +127,7 @@ def test_two_component_star():
     s = SpliceDiagram.star([2, 4, 3])
     rooted = root(s, "l3")
     assert rooted.links() == (4, 2)
-    curve = parameterize(end_curve_system(build_system(s), rooted), rooted)
+    curve = parameterize(end_curve_system(build_system(s), rooted))
     assert curve.exponents == (2, 1) and curve.g == 2
     assert len(curve.components) == 2
 
@@ -132,7 +139,7 @@ def test_component_count_and_primitivity(pool_small):
         system = system_for(d, seed=None if k % 2 else 1000 + k)
         for leaf in d.leaves:
             rooted = root(d, leaf)
-            curve = parameterize(end_curve_system(system, rooted), rooted)
+            curve = parameterize(end_curve_system(system, rooted))
             links = rooted.links()
             g = 0
             for value in links:
@@ -172,8 +179,66 @@ def test_boundary_ray_matches_end_curve_exponents(pool_boundary):
         system = build_system(d)
         for leaf in d.leaves:
             rooted = root(d, leaf)
-            curve_exponents = parameterize(
-                end_curve_system(system, rooted), rooted
-            ).exponents
+            curve_exponents = parameterize(end_curve_system(system, rooted)).exponents
             ray = boundary_trop(system, [leaf], cross_check=False)
             assert ray == curve_exponents
+
+
+@pytest.mark.parametrize(
+    "shape, leaf",
+    [
+        ((12, 1, 0), "l1"),   # the floating components overflow to inf
+        ((12, 2, 27), "l5"),  # substituting them overflows a power
+        ((12, 1, 2), "l11"),  # tiny components with a residual as large as the terms
+    ],
+)
+def test_numeric_end_curve_failures_are_explicit(shape, leaf, tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(diagram_to_doc(random_diagram(*shape, require_coprime=True))))
+    code = cli.main(["endcurve", str(path), "--root", leaf])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["payload"]["error"] == "SolveFailed"
+
+
+def test_numeric_solve_leaves_global_mpmath_precision_alone(monkeypatch):
+    import mpmath
+
+    class FrozenPrecision:
+        @property
+        def dps(self):
+            return 15
+
+        @dps.setter
+        def dps(self, value):
+            raise AssertionError("the global mpmath precision was changed")
+
+    monkeypatch.setattr(mpmath, "mp", FrozenPrecision())
+    d = random_diagram(4, 1, 0, require_coprime=False)
+    curve = parameterize(end_curve_system(build_system(d), root(d, "l1")))
+    assert not curve.exact and curve.g == 4 and len(curve.components) == 4
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, splicefan.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_numeric_solves_agree_across_threads():
+    d = random_diagram(4, 1, 0, require_coprime=False)
+    ecs = end_curve_system(build_system(d), root(d, "l1"))
+    expected = parameterize(ecs).components
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(
+                pool.map(lambda _: parameterize(ecs).components, range(16), timeout=120)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 16
+    assert all(components == expected for components in results)
