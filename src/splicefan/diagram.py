@@ -9,7 +9,7 @@ vector produced downstream.  All arithmetic is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import GenerationExhausted
@@ -391,6 +391,9 @@ class ConditionReport:
     edge_determinant: bool
     semigroup: bool
     coprime: bool
+    # (node, neighbour) -> AdmissibleCoweight, the semigroup condition's
+    # witnesses; None when that condition fails
+    admissible: dict | None = field(default=None, repr=False, compare=False)
 
     def all(self) -> bool:
         return self.edge_determinant and self.semigroup and self.coprime
@@ -398,11 +401,7 @@ class ConditionReport:
 
 def check_conditions(diagram: SpliceDiagram) -> ConditionReport:
     det_ok = all(edge_determinant(diagram, e) > 0 for e in diagram.internal_edges())
-    semi_ok = all(
-        semigroup_decompose(diagram, v, (v, u)) is not None
-        for v in diagram.nodes
-        for u in diagram.neighbors(v)
-    )
+    admissible = _admissible_coweights(diagram)
     coprime_ok = True
     for v in diagram.nodes:
         ws = [diagram.weight(v, u) for u in diagram.neighbors(v)]
@@ -410,7 +409,20 @@ def check_conditions(diagram: SpliceDiagram) -> ConditionReport:
             for j in range(i + 1, len(ws)):
                 if gcd(ws[i], ws[j]) != 1:
                     coprime_ok = False
-    return ConditionReport(det_ok, semi_ok, coprime_ok)
+    return ConditionReport(det_ok, admissible is not None, coprime_ok, admissible)
+
+
+def _admissible_coweights(diagram: SpliceDiagram):
+    """The lex-smallest decomposition of every (node, neighbour) edge weight,
+    or None as soon as one edge weight has none."""
+    out = {}
+    for v in diagram.nodes:
+        for u in diagram.neighbors(v):
+            coweight = semigroup_decompose(diagram, v, (v, u))
+            if coweight is None:
+                return None
+            out[(v, u)] = coweight
+    return out
 
 
 # ---------------------------------------------------------------------------

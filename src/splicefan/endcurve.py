@@ -90,32 +90,35 @@ def node_binomials(system: SpliceSystem, v, drop_position):
     """Eliminate node v's equations to two-monomial relations.
 
     ``drop_position`` indexes the star monomial that has been removed; the
-    last surviving monomial in star order is the common reference.  Hamm
-    guarantees every relation constant is nonzero.
+    last surviving monomial in star order is the common reference.  The
+    surviving monomials solve k equations in k + 1 unknowns, so their values
+    lie on the kernel line of that matrix and every relation constant is a
+    ratio of two kernel entries.  Hamm guarantees the kernel is a line with
+    no zero entry.
     """
     block = system.blocks[v]
-    count = len(block.star)
-    surviving = [j for j in range(count) if j != drop_position]
-    ref = surviving[-1]
-    out = []
-    for j in surviving[:-1]:
-        zero_rows = [block.matrix.rows[p] for p in surviving if p not in (j, ref)]
-        y = nullspace_one(zero_rows, block.matrix.n_equations)
-        gamma_j = sum(c * yc for c, yc in zip(block.matrix.rows[j], y))
-        gamma_ref = sum(c * yc for c, yc in zip(block.matrix.rows[ref], y))
-        if gamma_j == 0 or gamma_ref == 0:
-            raise EliminationDegenerate(
-                f"vanishing relation constant at node {v!r}; Hamm condition broken"
-            )
-        out.append(
-            Binomial(
-                node=v,
-                lhs=block.exponents[j],
-                rhs=block.exponents[ref],
-                const=-gamma_ref / gamma_j,
-            )
+    rows = block.matrix.rows
+    surviving = [j for j in range(len(block.star)) if j != drop_position]
+    k = block.matrix.n_equations
+    matrix = [[rows[p][i] for p in surviving] for i in range(k)]
+    try:
+        kernel = nullspace_one(matrix, len(surviving))
+    except ValueError:
+        kernel = None
+    if kernel is None or not all(kernel):
+        raise EliminationDegenerate(
+            f"vanishing relation constant at node {v!r}; Hamm condition broken"
         )
-    return out
+    ref = surviving[-1]
+    return [
+        Binomial(
+            node=v,
+            lhs=block.exponents[j],
+            rhs=block.exponents[ref],
+            const=kernel[t] / kernel[-1],
+        )
+        for t, j in enumerate(surviving[:-1])
+    ]
 
 
 def binomial_reduce(ecs: EndCurveSystem) -> BinomialSystem:

@@ -22,9 +22,18 @@ from .errors import (
     InconsistentMembership,
     NonIntegralMultiplicity,
     NoTorusPoint,
+    SpliceError,
     VerificationFailed,
 )
-from .exact import dot, gcd_list, primitive, unimodular_to_unit
+from .exact import (
+    dot,
+    gcd_list,
+    in_int_span,
+    insert_row,
+    primitive,
+    reduce_row,
+    unimodular_to_unit,
+)
 from .system import Polynomial, SpliceSystem, combination
 
 RANK_TOL = 1e-9
@@ -375,42 +384,11 @@ def monomial_in_span_oracle(generators, w):
     for group in groups:
         for m, row in group:
             others = [r for m2, r in group if m2 != m]
-            if not _in_int_span(row, basis + [_reduce_row(r, basis) for r in others]):
+            if not in_int_span(row, basis + [reduce_row(r, basis) for r in others]):
                 return m
         for _, row in group:
-            _insert_row(basis, row)
+            insert_row(basis, row)
     return None
-
-
-def _lead_index(row):
-    return next((i for i, x in enumerate(row) if x), len(row))
-
-
-def _reduce_row(row, basis):
-    """Primitive integer remainder of row against an echelon basis."""
-    row = list(row)
-    for b in basis:
-        lead = _lead_index(b)
-        if lead < len(row) and row[lead]:
-            p, q = b[lead], row[lead]
-            row = [x * p - y * q for x, y in zip(row, b)]
-    g = gcd_list(row)
-    return [x // g for x in row] if g else row
-
-
-def _insert_row(basis, row):
-    """Add row's nonzero remainder to the basis, kept sorted by lead index."""
-    reduced = _reduce_row(row, basis)
-    if any(reduced):
-        basis.append(reduced)
-        basis.sort(key=_lead_index)
-
-
-def _in_int_span(target, rows):
-    basis = []
-    for r in rows:
-        _insert_row(basis, r)
-    return not any(_reduce_row(target, basis))
 
 
 def initial_ideal_generators(system: SpliceSystem, w):
@@ -560,7 +538,7 @@ def smoothness_smoke(system: SpliceSystem, w, samples=10, seed=0) -> SmokeReport
     repaired = False
     try:
         points = [_sample_log_point(system, cell, rng) for _ in range(samples)]
-    except Exception:
+    except SpliceError:
         repaired = True
         fixed = _repaired_system(diagram)
         rng = random.Random(seed)

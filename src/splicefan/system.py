@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .diagram import SpliceDiagram, check_conditions, semigroup_decompose
+from .diagram import SpliceDiagram, check_conditions
 from .errors import ConditionViolation, HammViolation, TailViolation
-from .exact import dot, nullspace_one
+from .exact import det_int, dot, lcm_list, nullspace_one
 
 INF = math.inf
 
@@ -180,26 +180,6 @@ class CoefficientMatrix:
         return len(self.rows[0]) if self.rows else 0
 
 
-def _det(rows):
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
 def check_hamm(matrix: CoefficientMatrix) -> bool:
     """All maximal minors (choose n_equations rows) must be nonzero."""
     k = matrix.n_equations
@@ -208,7 +188,12 @@ def check_hamm(matrix: CoefficientMatrix) -> bool:
     rows = [tuple(Fraction(x) for x in r) for r in matrix.rows]
     if any(len(r) != k for r in rows):
         raise ValueError("ragged coefficient matrix")
-    return all(_det(sel) != 0 for sel in combinations(rows, k))
+    # clearing each row's denominators scales every minor by a positive factor
+    scaled = []
+    for r in rows:
+        den = lcm_list(x.denominator for x in r)
+        scaled.append(tuple(x.numerator * (den // x.denominator) for x in r))
+    return all(det_int(sel) != 0 for sel in combinations(scaled, k))
 
 
 def default_coefficients(diagram: SpliceDiagram, v) -> CoefficientMatrix:
@@ -340,8 +325,7 @@ def build_system(diagram: SpliceDiagram, coeffs=None, tails=None, coweights=None
                 _check_coweight_override(diagram, v, u, override)
                 coeff_map = override
             else:
-                admissible = semigroup_decompose(diagram, v, (v, u))
-                coeff_map = admissible.coeffs
+                coeff_map = report.admissible[(v, u)].coeffs
             exponents.append(
                 tuple(coeff_map.get(leaf, 0) for leaf in diagram.leaves)
             )

@@ -1,6 +1,7 @@
 """End-curves: rooted linking numbers, binomial reduction, parameterization."""
 
 import json
+import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,11 +20,14 @@ from splicefan import (
     cli,
     end_curve_system,
     parameterize,
+    random_coefficients,
     random_diagram,
     root,
     verify_parameterization,
 )
 from splicefan.documents import diagram_to_doc
+from splicefan.endcurve import node_binomials
+from splicefan.exact import nullspace_one
 
 F = Fraction
 
@@ -82,6 +86,54 @@ def test_binomial_reduction_detects_broken_hamm(d1, d1_system):
     broken = SpliceSystem(d1, blocks, d1_system.equations)
     with pytest.raises(EliminationDegenerate):
         binomial_reduce(end_curve_system(broken, root(d1, "l1")))
+
+
+def _reference_node_binomials(system, v, drop_position):
+    """One elimination per relation: kill every surviving row but j and the
+    reference with a kernel vector y of the others, then read -γ_ref/γ_j."""
+    block = system.blocks[v]
+    rows = block.matrix.rows
+    surviving = [j for j in range(len(block.star)) if j != drop_position]
+    ref = surviving[-1]
+    out = []
+    for j in surviving[:-1]:
+        zero_rows = [rows[p] for p in surviving if p not in (j, ref)]
+        y = nullspace_one(zero_rows, block.matrix.n_equations)
+        gamma_j = sum(c * yc for c, yc in zip(rows[j], y))
+        gamma_ref = sum(c * yc for c, yc in zip(rows[ref], y))
+        out.append((v, block.exponents[j], block.exponents[ref], -gamma_ref / gamma_j))
+    return out
+
+
+@pytest.mark.parametrize("shape", ["d1", (12, 1, 0), (10, 2, 0), (12, 4, 0)])
+@pytest.mark.parametrize("coefficients", ["vandermonde", "random"])
+def test_node_binomials_match_per_relation_elimination(d1, shape, coefficients):
+    diagram = d1 if shape == "d1" else random_diagram(*shape)
+    coeffs = None
+    if coefficients == "random":
+        rng = random.Random(5)
+        coeffs = {v: random_coefficients(diagram, v, rng) for v in diagram.nodes}
+    system = build_system(diagram, coeffs=coeffs)
+    for v in diagram.nodes:
+        for drop in range(diagram.valency(v)):
+            got = node_binomials(system, v, drop)
+            assert all(type(b.const) is Fraction for b in got)
+            assert [(b.node, b.lhs, b.rhs, b.const) for b in got] == (
+                _reference_node_binomials(system, v, drop)
+            )
+
+
+def test_node_binomials_refuse_a_zero_kernel_entry(d1, d1_system):
+    from splicefan.system import CoefficientMatrix, NodeBlock, SpliceSystem
+
+    block = d1_system.blocks["v"]
+    # full rank, but the minor of rows 1 and 2 vanishes
+    bad = CoefficientMatrix("v", ((F(1), F(0)), (F(0), F(1)), (F(0), F(2)), (F(1), F(1))))
+    blocks = dict(d1_system.blocks)
+    blocks["v"] = NodeBlock("v", block.star, block.exponents, bad)
+    broken = SpliceSystem(d1, blocks, d1_system.equations)
+    with pytest.raises(EliminationDegenerate):
+        node_binomials(broken, "v", 0)
 
 
 def test_parameterize_worked_example(d1_system, d1):

@@ -263,6 +263,41 @@ def test_smoke_rejects_off_fan_vector(d1_system):
         smoothness_smoke(d1_system, (1, 1, 1, 1, 1), samples=2, seed=0)
 
 
+def _leaf_cone_point(d1):
+    return tuple(x + (l == "l1") for x, l in zip(d1.node_weight_vector("u"), d1.leaves))
+
+
+def test_smoke_repairs_sampling_when_hamm_breaks(d1, d1_system):
+    from splicefan.system import CoefficientMatrix, NodeBlock, SpliceSystem
+
+    block = d1_system.blocks["v"]
+    bad = CoefficientMatrix(
+        "v", ((F(1), F(2)), (F(1), F(2)), (F(3), F(6)), (F(4), F(8)))
+    )
+    blocks = dict(d1_system.blocks)
+    blocks["v"] = NodeBlock("v", block.star, block.exponents, bad)
+    broken = SpliceSystem(d1, blocks, d1_system.equations)
+    report = smoothness_smoke(broken, _leaf_cone_point(d1), samples=2, seed=0)
+    assert report.cell.kind == "in_cone" and report.repaired_sampling
+
+
+def test_smoke_lets_programming_errors_through(d1, d1_system, monkeypatch):
+    import splicefan.fan as fan_module
+
+    real = fan_module._sample_log_point
+    calls = []
+
+    def broken_once(system, cell, rng):
+        calls.append(cell)
+        if len(calls) == 1:
+            raise TypeError("not a domain error")
+        return real(system, cell, rng)
+
+    monkeypatch.setattr(fan_module, "_sample_log_point", broken_once)
+    with pytest.raises(TypeError, match="not a domain error"):
+        smoothness_smoke(d1_system, _leaf_cone_point(d1), samples=2, seed=0)
+
+
 def test_smoke_flags_proportional_equations(d1, d1_system):
     from splicefan.system import Equation, NodeBlock, SpliceSystem
 

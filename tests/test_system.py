@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +24,7 @@ from splicefan import (
     validate_tail,
     w_weight,
 )
+from splicefan.exact import det_int
 
 F = Fraction
 
@@ -54,6 +56,55 @@ def test_check_hamm_repeated_row_fails():
 def test_check_hamm_shape_guard():
     with pytest.raises(ValueError):
         check_hamm(CoefficientMatrix("u", ((F(1), F(2)), (F(3), F(4)))))
+
+
+def _fraction_det(rows):
+    rows = [[F(x) for x in r] for r in rows]
+    n = len(rows)
+    det = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def test_det_int_matches_fraction_determinant():
+    rng = random.Random(11)
+    singular = 0
+    for trial in range(500):
+        n = rng.randint(1, 10)
+        bound = rng.choice([1, 3, 9, 1000])
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 3 == 0:
+            # row i becomes a combination of other rows (zero and repeats included)
+            i = rng.randrange(n)
+            p, q = (rng.choice([r for t, r in enumerate(rows) if t != i]) for _ in "pq")
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[i] = [a * x + b * y for x, y in zip(p, q)]
+        expected = _fraction_det(rows)
+        got = det_int(rows)
+        assert type(got) is int and got == expected
+        singular += expected == 0
+    assert singular >= 100
+    assert det_int([]) == 1
+
+
+def test_check_hamm_on_non_integer_rationals():
+    rows = ((F(1, 2), F(1, 3)), (F(2, 3), F(-5, 7)), (F(3, 4), F(1, 5)), (F(-1, 6), F(9, 11)))
+    assert all(_fraction_det(sel) != 0 for sel in combinations(rows, 2))
+    assert check_hamm(CoefficientMatrix("v", rows))
+    # row 2 is 3/2 times row 0, so exactly one minor vanishes
+    vanishing = (rows[0], rows[1], (F(3, 4), F(1, 2)), rows[3])
+    assert sum(_fraction_det(sel) == 0 for sel in combinations(vanishing, 2)) == 1
+    assert not check_hamm(CoefficientMatrix("v", vanishing))
 
 
 def test_random_coefficients_pass_hamm(d1):
