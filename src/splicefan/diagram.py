@@ -383,7 +383,13 @@ def _lex_min_combination(target, gens):
         dead.add((i, r))
         return None
 
-    return search(0, target)
+    # search refers to itself through its closure; emptying that cell breaks
+    # the cycle, so dead (up to 191,000 entries for random_diagram(12, 4, 1))
+    # goes when the search ends, not at the collector's next pass
+    try:
+        return search(0, target)
+    finally:
+        del search
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Diagram structure, linking numbers, conditions and the random generator."""
 
+import gc
+
 import pytest
 
 from splicefan import (
@@ -117,6 +119,22 @@ def test_semigroup_infeasible():
     # 1 is not in the semigroup spanned by the reduced linking numbers (2, 3)
     assert semigroup_decompose(d, "u", ("u", "v")) is None
     assert not check_conditions(d).semigroup
+
+
+def test_semigroup_search_leaves_no_cyclic_garbage():
+    # the failed-branch memo must go with the search, not wait for the
+    # cyclic collector: its size would otherwise make peak memory depend
+    # on when the collector happens to run
+    from splicefan.diagram import _lex_min_combination
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert _lex_min_combination(1000, [35, 33, 26, 19]) == [0, 0, 18, 28]
+        assert _lex_min_combination(7, [35, 33, 26, 19]) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_conditions(d1):
