@@ -84,7 +84,7 @@ def _load_checked_diagram(path):
         raise _Refusal(
             "violation", {"message": "edge determinant condition fails"}, EXIT_REFUSED
         )
-    return diagram
+    return diagram, report
 
 
 def _default_system(diagram, seed=None):
@@ -125,13 +125,13 @@ def _cmd_check(args):
 
 
 def _cmd_system(args):
-    diagram = _load_checked_diagram(args.diagram)
+    diagram, _ = _load_checked_diagram(args.diagram)
     system = _default_system(diagram, args.seed)
     return "ok", docs.system_to_doc(system), EXIT_OK
 
 
 def _cmd_fan(args):
-    diagram = _load_checked_diagram(args.diagram)
+    diagram, _ = _load_checked_diagram(args.diagram)
     return "ok", docs.fan_to_doc(splice_fan(diagram)), EXIT_OK
 
 
@@ -168,7 +168,7 @@ def _sample_queries(diagram, fan, count, seed):
 
 
 def _cmd_member(args):
-    diagram = _load_checked_diagram(args.diagram)
+    diagram, _ = _load_checked_diagram(args.diagram)
     system = _default_system(diagram, args.seed)
     fan = splice_fan(diagram)
     if args.w is not None:
@@ -196,7 +196,7 @@ def _cmd_member(args):
 
 
 def _cmd_initial(args):
-    diagram = _load_checked_diagram(args.diagram)
+    diagram, _ = _load_checked_diagram(args.diagram)
     system = _default_system(diagram, args.seed)
     w = _parse_weight_vector(args.w, diagram.n)
     gens, monomial_free = initial_ideal_generators(system, w)
@@ -208,7 +208,7 @@ def _cmd_initial(args):
 
 
 def _cmd_endcurve(args):
-    diagram = _load_checked_diagram(args.diagram)
+    diagram, _ = _load_checked_diagram(args.diagram)
     if not diagram.is_leaf(args.root):
         raise _Refusal(
             "violation", {"message": f"{args.root!r} is not a leaf"}, EXIT_REFUSED
@@ -236,8 +236,8 @@ def _cmd_recover(args):
 
 
 def _cmd_roundtrip(args):
-    diagram = _load_checked_diagram(args.diagram)
-    if not check_conditions(diagram).coprime:
+    diagram, report = _load_checked_diagram(args.diagram)
+    if not report.coprime:
         raise _Refusal(
             "violation", {"message": "roundtrip needs a coprime diagram"}, EXIT_REFUSED
         )

@@ -315,81 +315,135 @@ def semigroup_decompose(diagram: SpliceDiagram, v, e):
 
     The sum runs over the leaves beyond the edge e = [v, u]; returns an
     AdmissibleCoweight or None when the edge weight is not in the semigroup
-    spanned by the reduced linking numbers.
+    spanned by the reduced linking numbers.  The leaves are settled in leaf
+    order, each at the smallest exponent that leaves a remainder in the
+    semigroup of the leaves after it, which a tree-split membership test
+    (:class:`_Semigroups`) decides.
     """
     u = e[1] if e[0] == v else e[0]
+    if not diagram.is_node(v):
+        raise ValueError(f"{v!r} is not a node")
     if u not in diagram.neighbors(v):
         raise ValueError(f"{e!r} is not an edge at {v!r}")
-    target = diagram.weight(v, u)
+    r = diagram.weight(v, u)
     support = diagram.leaves_beyond(v, u)
     gens = [diagram.reduced_linking(v, leaf) for leaf in support]
-    sol = _lex_min_combination(target, gens)
-    if sol is None:
+    rest_gcd = [0] * (len(gens) + 1)
+    for i in range(len(gens) - 1, -1, -1):
+        rest_gcd[i] = gcd(gens[i], rest_gcd[i + 1])
+    semigroups = _Semigroups(diagram)
+    if not semigroups.member(v, u, 0, r):
         return None
-    coeffs = {leaf: a for leaf, a in zip(support, sol) if a}
+    coeffs = {}
+    for p, (leaf, a) in enumerate(zip(support, gens)):
+        gs = rest_gcd[p + 1]
+        if gs:
+            # x*a == r (mod gs, the later leaves' gcd): walk that progression
+            # up to the first x whose remainder the later leaves can make
+            g = gcd(a, gs)
+            m = gs // g
+            start = (r // g) * pow(a // g, -1, m) % m
+        else:
+            start, m = r // a, 1  # the last leaf takes what is left
+        after = diagram.leaf_index(leaf) + 1
+        x = next((x for x in range(start, r // a + 1, m)
+                  if semigroups.member(v, u, after, r - x * a)), None)
+        if x is None:
+            raise AssertionError(f"membership test is inconsistent at {leaf!r}")
+        if x:
+            coeffs[leaf] = x
+            r -= x * a
     return AdmissibleCoweight(node=v, edge=(v, u), coeffs=coeffs)
 
 
-def _two_gen_min(r, a, b):
-    """Smallest x >= 0 with x*a + y*b == r for some y >= 0, else None."""
-    g = gcd(a, b)
-    if r % g:
-        return None
-    a2, b2, r2 = a // g, b // g, r // g
-    x = 0 if b2 == 1 else (r2 * pow(a2, -1, b2)) % b2
-    return x if x * a <= r else None
+class _Semigroups:
+    """Membership in the semigroups S(x, y, i) spanned by l'(x, l) over the
+    leaves l beyond the edge [x, y] with leaf index at least i.
 
+    At a leaf y that semigroup is N (or 0 when y's index is below i).  At a
+    node y, l'(x, l) = A_b * l'(y, l) for l beyond y's branch b, where A_b is
+    the product of y's weights off x and b, so S(x, y, i) is the sum over the
+    branches b != x of A_b * S(y, b, i).  A target is split one branch at a
+    time, each share running over the congruence progression that the later
+    branches' gcd allows.
 
-def _lex_min_combination(target, gens):
-    """Lex-smallest non-negative integer solution of sum(x_i * gens_i) == target.
-
-    Ascending search on each coordinate, pruned by suffix gcd congruences and
-    solved in closed form once two generators remain.
+    The memos live on the instance and no method is stored on it, so they go
+    by reference count when the instance does.
     """
-    k = len(gens)
-    if k == 0:
-        return [] if target == 0 else None
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = gcd(gens[i], suffix[i + 1])
-    dead = set()
 
-    def search(i, r):
+    def __init__(self, diagram):
+        self.diagram = diagram
+        self._parts = {}
+        self._seen = {}
+
+    def member(self, x, y, i, t):
+        """Whether t lies in S(x, y, i)."""
+        return t >= 0 and self._split(x, y, i, 0, t)
+
+    def _branches(self, x, y, i):
+        """(parts, gcds) of S(x, y, i).
+
+        parts are (A_b * G_b, G_b, b), largest first, over the branches b
+        of y with a leaf from i on, where G_b is the gcd of S(y, b, i);
+        gcds[j] is the gcd of the generators of parts[j:], 0 when there are
+        none.  A leaf has no parts and gcds (1,) or (0,).
+        """
+        key = (x, y, i)
+        out = self._parts.get(key)
+        if out is not None:
+            return out
+        d = self.diagram
+        if not d.is_node(y):
+            out = (), (1 if d.leaf_index(y) >= i else 0,)
+            self._parts[key] = out
+            return out
+        parts = []
+        for b in d.neighbors(y):
+            if b == x:
+                continue
+            g_b = self._branches(y, b, i)[1][0]
+            if g_b:
+                a = 1
+                for z in d.neighbors(y):
+                    if z != x and z != b:
+                        a *= d.weight(y, z)
+                parts.append((a * g_b, g_b, b))
+        # largest generator first: its share has the fewest candidates
+        parts.sort(reverse=True)
+        gcds = [0] * (len(parts) + 1)
+        for j in range(len(parts) - 1, -1, -1):
+            gcds[j] = gcd(parts[j][0], gcds[j + 1])
+        out = tuple(parts), tuple(gcds)
+        self._parts[key] = out
+        return out
+
+    def _split(self, x, y, i, j, r):
+        """Whether r >= 0 lies in the sum of parts[j:] of S(x, y, i)."""
         if r == 0:
-            return [0] * (k - i)
-        if i == k or r % suffix[i]:
-            return None
-        if i == k - 1:
-            return [r // gens[i]] if r % gens[i] == 0 else None
-        if i == k - 2:
-            x = _two_gen_min(r, gens[i], gens[i + 1])
-            if x is None:
-                return None
-            return [x, (r - x * gens[i]) // gens[i + 1]]
-        if (i, r) in dead:
-            return None
-        a, gs = gens[i], suffix[i + 1]
-        g2 = gcd(a, gs)
-        if r % g2:
-            dead.add((i, r))
-            return None
-        # x must satisfy x*a == r (mod gs); walk the progression upward
-        m = gs // g2
-        start = 0 if m == 1 else ((r // g2) * pow(a // g2, -1, m)) % m
-        for x in range(start, r // a + 1, m):
-            rest = search(i + 1, r - x * a)
-            if rest is not None:
-                return [x] + rest
-        dead.add((i, r))
-        return None
-
-    # search refers to itself through its closure; emptying that cell breaks
-    # the cycle, so dead (up to 191,000 entries for random_diagram(12, 4, 1))
-    # goes when the search ends, not at the collector's next pass
-    try:
-        return search(0, target)
-    finally:
-        del search
+            return True
+        parts, gcds = self._branches(x, y, i)
+        g = gcds[j]
+        if g == 0 or r % g:
+            return False
+        if not parts:
+            return True
+        key = (x, y, i, j, r)
+        out = self._seen.get(key)
+        if out is not None:
+            return out
+        a, g_b, b = parts[j]
+        if j == len(parts) - 1:
+            out = self._split(y, b, i, 0, r // a * g_b)
+        else:
+            # a*t == r (mod gcds[j + 1]); walk that progression
+            m = gcds[j + 1] // g
+            start = (r // g) * pow(a // g, -1, m) % m
+            out = any(
+                self._split(y, b, i, 0, t * g_b) and self._split(x, y, i, j + 1, r - t * a)
+                for t in range(start, r // a + 1, m)
+            )
+        self._seen[key] = out
+        return out
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ from splicefan import (
     GenerationExhausted,
     SpliceDiagram,
     branches,
+    build_system,
+    check_balancing,
     check_conditions,
     edge_determinant,
     end_nodes,
     is_star_full,
     prune_end_node,
     random_diagram,
+    roundtrip,
     semigroup_decompose,
+    splice_fan,
     validate,
 )
 
@@ -102,6 +106,7 @@ def test_semigroup_decompositions(d1):
 def test_semigroup_leaf_edge(d1):
     adm = semigroup_decompose(d1, "u", ("u", "l1"))
     assert adm.coeffs == {"l1": 2}
+    assert semigroup_decompose(d1, "u", ("l1", "u")) == adm
 
 
 def test_semigroup_infeasible():
@@ -122,19 +127,51 @@ def test_semigroup_infeasible():
 
 
 def test_semigroup_search_leaves_no_cyclic_garbage():
-    # the failed-branch memo must go with the search, not wait for the
-    # cyclic collector: its size would otherwise make peak memory depend
-    # on when the collector happens to run
-    from splicefan.diagram import _lex_min_combination
-
+    # the search's memos must go with the search, not wait for the cyclic
+    # collector: their size would otherwise make peak memory depend on when
+    # the collector happens to run
+    feasible = random_diagram(12, 4, 1)
+    # 100 is not in the semigroup spanned by 77, 55, 35 (the far node's
+    # weights 5, 7, 11 taken two at a time)
+    infeasible = SpliceDiagram(
+        ["l1", "l2", "l3", "l4", "l5"],
+        ["u", "v"],
+        [("u", "l1", 2, None), ("u", "l2", 3, None), ("u", "v", 100, 1),
+         ("v", "l3", 5, None), ("v", "l4", 7, None), ("v", "l5", 11, None)],
+    )
     gc.collect()
     gc.disable()
     try:
-        assert _lex_min_combination(1000, [35, 33, 26, 19]) == [0, 0, 18, 28]
-        assert _lex_min_combination(7, [35, 33, 26, 19]) is None
+        coweight = semigroup_decompose(feasible, "n4", ("n4", "n3"))
+        assert sum(a * feasible.reduced_linking("n4", leaf)
+                   for leaf, a in coweight.coeffs.items()) == feasible.weight("n4", "n3")
+        assert semigroup_decompose(infeasible, "u", ("u", "v")) is None
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_semigroup_decompose_refuses_a_leaf_vertex():
+    d = random_diagram(6, 2, 0)
+    with pytest.raises(ValueError, match="not a node"):
+        semigroup_decompose(d, "l1", ("l1", "n2"))
+    with pytest.raises(ValueError, match="not a node"):
+        semigroup_decompose(d, "x", ("x", "n2"))
+    with pytest.raises(ValueError, match="not an edge"):
+        semigroup_decompose(d, "n1", ("n1", "n1"))
+
+
+@pytest.mark.parametrize("shape", [(14, 6, 0), (16, 7, 1), (24, 8, 0)])
+def test_large_random_diagrams_analyse(shape):
+    # past the benchmark ladder's (12, 4): generation, every condition, the
+    # system, the fan and the fan round trip (end-curves are not run here)
+    d = random_diagram(*shape)
+    assert (d.n, len(d.nodes)) == shape[:2]
+    assert validate(d) == []
+    assert check_conditions(d).all()
+    assert len(build_system(d).equations) == sum(d.valency(v) - 2 for v in d.nodes)
+    assert check_balancing(splice_fan(d))
+    assert roundtrip(d)
 
 
 def test_check_conditions(d1):

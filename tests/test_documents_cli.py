@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import worked_coefficients
-from splicefan import DocumentError, Polynomial, build_system, cli
+from splicefan import DocumentError, Polynomial, build_system, check_conditions, cli
 from splicefan.documents import (
     diagram_from_doc,
     diagram_to_doc,
@@ -238,6 +238,31 @@ def test_cli_random_and_exhaustion(tmp_path):
     assert code == 0
     code, out = run_cli("random", "--leaves", "3", "--nodes", "2", "--seed", "9")
     assert code == 3 and json.loads(out)["status"] == "infeasible"
+
+
+def test_cli_random_past_the_ladder(tmp_path):
+    code, out = run_cli("random", "--leaves", "16", "--nodes", "7", "--seed", "1", "--coprime")
+    assert code == 0
+    doc = json.loads(out)["payload"]
+    d = diagram_from_doc(doc)
+    assert (d.n, len(d.nodes)) == (16, 7)
+    path = tmp_path / "rand.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli("check", str(path))
+    assert code == 0 and json.loads(out)["status"] == "ok"
+
+
+def test_cli_roundtrip_checks_conditions_once(d1_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(diagram):
+        calls.append(diagram)
+        return check_conditions(diagram)
+
+    monkeypatch.setattr(cli, "check_conditions", counted)
+    assert cli.main(["roundtrip", d1_path]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"] == {"roundtrip": True}
+    assert len(calls) == 1
 
 
 def test_cli_system_and_initial(d1_path):
