@@ -301,13 +301,22 @@ def _connected(diagram: SpliceDiagram) -> bool:
 # ---------------------------------------------------------------------------
 
 def edge_determinant(diagram: SpliceDiagram, edge) -> int:
-    """d(u,v)*d(v,u) - linking(u,v) for an internal edge [u, v]."""
+    """d(u,v)*d(v,u) - linking(u,v) for an internal edge [u, v].
+
+    For adjacent nodes the linking number is the product of u's weights off
+    v times v's weights off u, so only the two stars are read.
+    """
     a, b = edge
     if not (diagram.is_node(a) and diagram.is_node(b)):
         raise ValueError(f"edge ({a!r}, {b!r}) is not internal")
     if b not in diagram.neighbors(a):
         raise ValueError(f"({a!r}, {b!r}) is not an edge")
-    return diagram.weight(a, b) * diagram.weight(b, a) - diagram.linking_number(a, b)
+    off = 1
+    for x, y in ((a, b), (b, a)):
+        for z in diagram.neighbors(x):
+            if z != y:
+                off *= diagram.weight(x, z)
+    return diagram.weight(a, b) * diagram.weight(b, a) - off
 
 
 def semigroup_decompose(diagram: SpliceDiagram, v, e):

@@ -17,7 +17,7 @@ from math import inf
 
 from .diagram import SpliceDiagram
 from .errors import EliminationDegenerate, SolveFailed
-from .exact import gcd_list, nullspace_one, smith_normal_form
+from .exact import gcd_list, smith_normal_form
 from .system import Polynomial, SpliceSystem
 
 NUMERIC_TOL = 1e-9
@@ -90,22 +90,19 @@ def node_binomials(system: SpliceSystem, v, drop_position):
     """Eliminate node v's equations to two-monomial relations.
 
     ``drop_position`` indexes the star monomial that has been removed; the
-    last surviving monomial in star order is the common reference.  The
-    surviving monomials solve k equations in k + 1 unknowns, so their values
-    lie on the kernel line of that matrix and every relation constant is a
-    ratio of two kernel entries.  Hamm guarantees the kernel is a line with
-    no zero entry.
+    last surviving monomial in star order is the common reference.  The star
+    monomials' values lie on the node's kernel plane (``NodeBlock.kernel``),
+    and those with the dropped value zero on its line a_p * b - b_p * a, so
+    every relation constant is a ratio of two entries of that line.  Hamm
+    guarantees a plane whose line has no zero entry.
     """
     block = system.blocks[v]
-    rows = block.matrix.rows
     surviving = [j for j in range(len(block.star)) if j != drop_position]
-    k = block.matrix.n_equations
-    matrix = [[rows[p][i] for p in surviving] for i in range(k)]
-    try:
-        kernel = nullspace_one(matrix, len(surviving))
-    except ValueError:
-        kernel = None
-    if kernel is None or not all(kernel):
+    line = None
+    if len(block.kernel) == 2:
+        a, b = block.kernel
+        line = [a[drop_position] * b[j] - b[drop_position] * a[j] for j in surviving]
+    if line is None or not all(line):
         raise EliminationDegenerate(
             f"vanishing relation constant at node {v!r}; Hamm condition broken"
         )
@@ -115,7 +112,7 @@ def node_binomials(system: SpliceSystem, v, drop_position):
             node=v,
             lhs=block.exponents[j],
             rhs=block.exponents[ref],
-            const=kernel[t] / kernel[-1],
+            const=line[t] / line[-1],
         )
         for t, j in enumerate(surviving[:-1])
     ]

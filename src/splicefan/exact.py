@@ -88,21 +88,33 @@ def rank(rows) -> int:
     return len(reduced)
 
 
+def kernel_basis(rows, width: int):
+    """A basis of {x : rows @ x = 0} for a rational matrix of ``width``
+    columns: one vector per free column of the rref, in column order, with
+    1 at that column and 0 at the other free ones."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * width
+        vec[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
 def nullspace_one(rows, width: int):
     """A nonzero kernel vector of a rank-(width-1) rational matrix.
 
     The caller guarantees the rows are independent and number width-1;
     with no rows at all the first unit vector is returned.
     """
-    reduced, pivots = rref(rows)
-    if len(reduced) != width - 1:
+    basis = kernel_basis(rows, width)
+    if len(basis) != 1:
         raise ValueError("expected a one-dimensional kernel")
-    free = next(c for c in range(width) if c not in pivots)
-    vec = [Fraction(0)] * width
-    vec[free] = Fraction(1)
-    for row, p in zip(reduced, pivots):
-        vec[p] = -row[free]
-    return tuple(vec)
+    return basis[0]
 
 
 def solve_exact(rows, rhs):

@@ -721,10 +721,8 @@ def _sample_node_ray_logs(system, node, rng):
 
     # the node's own equations are linear in y_e = z^(admissible exponent);
     # pick a random kernel vector of the transposed coefficient matrix
-    count = len(block.star)
-    k = block.matrix.n_equations
     for _ in range(40):
-        y = _random_kernel_vector(block.matrix.rows, count, k, rng)
+        y = _random_kernel_vector(block.kernel, rng)
         if y is not None and all(abs(c) > 1e-12 for c in y):
             break
     else:
@@ -749,18 +747,11 @@ def _sample_node_ray_logs(system, node, rng):
     return [point[l] for l in diagram.leaves]
 
 
-def _random_kernel_vector(rows, count, k, rng):
-    """Random element of {y : sum_e y_e * rows[e][i] = 0 for all i}."""
-    from .exact import rref
-
-    mat = [[rows[e][i] for e in range(count)] for i in range(k)]
-    reduced, pivots = rref(mat)
-    free = [c for c in range(count) if c not in pivots]
-    y = [Fraction(0)] * count
-    for c in free:
-        y[c] = Fraction(rng.randint(-9, 9))
-    if all(v == 0 for v in y):
+def _random_kernel_vector(kernel, rng):
+    """Random element of {y : sum_e y_e * rows[e][i] = 0 for all i}: one
+    draw per basis vector of the node's kernel, in free-column order."""
+    coeffs = [Fraction(rng.randint(-9, 9)) for _ in kernel]
+    if not any(coeffs):
         return None
-    for row, p in zip(reduced, pivots):
-        y[p] = -sum(row[c] * y[c] for c in free)
+    y = [sum(c * vec[e] for c, vec in zip(coeffs, kernel)) for e in range(len(kernel[0]))]
     return [complex(v) for v in y]

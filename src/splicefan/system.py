@@ -10,13 +10,13 @@ predicate here is decided exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .diagram import SpliceDiagram, check_conditions
 from .errors import ConditionViolation, HammViolation, TailViolation
-from .exact import det_int, dot, lcm_list, nullspace_one
+from .exact import det_int, dot, kernel_basis, lcm_list, nullspace_one
 
 INF = math.inf
 
@@ -88,6 +88,13 @@ class Polynomial:
         return self.scale(other)
 
     __rmul__ = __mul__
+
+    def drop(self, exponent) -> "Polynomial":
+        """This polynomial without its term at ``exponent``.  The remaining
+        terms are already normalised and in order, so they are kept as is."""
+        out = Polynomial.__new__(Polynomial)
+        out.terms = tuple(t for t in self.terms if t[0] != exponent)
+        return out
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
@@ -226,12 +233,23 @@ def random_coefficients(diagram: SpliceDiagram, v, rng) -> CoefficientMatrix:
 
 @dataclass(frozen=True)
 class NodeBlock:
-    """Per-node data: star order, admissible exponents, coefficient matrix."""
+    """Per-node data: star order, admissible exponents, coefficient matrix.
+
+    ``kernel`` is derived from the matrix: ``exact.kernel_basis`` of the
+    transposed matrix, i.e. a basis of the values {y : sum_j y_j * rows[j] = 0}
+    of the star monomials.  Under Hamm it spans a plane.
+    """
 
     node: str
     star: tuple            # neighbour ids in canonical star order
     exponents: tuple       # admissible exponent tuple per incident edge
     matrix: CoefficientMatrix
+    kernel: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = self.matrix.rows
+        transposed = [[row[i] for row in rows] for i in range(self.matrix.n_equations)]
+        object.__setattr__(self, "kernel", kernel_basis(transposed, len(rows)))
 
 
 @dataclass(frozen=True)
@@ -266,11 +284,7 @@ class SpliceSystem:
 
     def without_toward(self, eq, x) -> Polynomial:
         """The minimal part of eq with its admissible monomial toward x dropped."""
-        block = self.blocks[eq.node]
-        j = self.toward(eq.node, x)
-        return eq.minimal - Polynomial.monomial(
-            block.exponents[j], block.matrix.rows[j][eq.index - 1]
-        )
+        return eq.minimal.drop(self.blocks[eq.node].exponents[self.toward(eq.node, x)])
 
     def __repr__(self):
         return f"SpliceSystem({len(self.equations)} equations on {self.diagram!r})"

@@ -1,6 +1,8 @@
 """Diagram structure, linking numbers, conditions and the random generator."""
 
 import gc
+import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from splicefan import (
     splice_fan,
     validate,
 )
+from splicefan.documents import diagram_from_doc
 
 
 def test_worked_example_is_valid(d1):
@@ -72,6 +75,29 @@ def test_node_weight_vectors(d1):
 
 def test_edge_determinant(d1):
     assert edge_determinant(d1, ("u", "v")) == 49 * 11 - 420 == 119
+
+
+# the benchmark ladder's (leaves, nodes) shapes, each with seeds 0, 1, 2
+LADDER = ((6, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 1), (8, 2), (8, 4),
+          (9, 1), (9, 3), (10, 1), (10, 2), (10, 5), (11, 1), (11, 3),
+          (12, 1), (12, 2), (12, 4))
+
+
+def test_edge_determinant_reads_the_linking_number():
+    """The local product of the two stars equals the tree's linking number."""
+    golden = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
+    diagrams = [random_diagram(n, k, seed) for n, k in LADDER for seed in (0, 1, 2)]
+    diagrams += [
+        diagram_from_doc(json.loads(golden["files"][name]))
+        for name in ("d1.json", "r6.json", "r8.json", "r9.json", "det.json", "semi.json")
+    ]
+    edges = 0
+    for d in diagrams:
+        for a, b in d.internal_edges():
+            expected = d.weight(a, b) * d.weight(b, a) - d.linking_number(a, b)
+            assert edge_determinant(d, (a, b)) == edge_determinant(d, (b, a)) == expected
+            edges += 1
+    assert edges == 75
 
 
 def test_edge_determinant_requires_internal(s0):

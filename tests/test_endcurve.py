@@ -27,7 +27,7 @@ from splicefan import (
 )
 from splicefan.documents import diagram_to_doc
 from splicefan.endcurve import node_binomials
-from splicefan.exact import nullspace_one
+from splicefan.exact import nullspace_one, rank
 
 F = Fraction
 
@@ -134,6 +134,44 @@ def test_node_binomials_refuse_a_zero_kernel_entry(d1, d1_system):
     broken = SpliceSystem(d1, blocks, d1_system.equations)
     with pytest.raises(EliminationDegenerate):
         node_binomials(broken, "v", 0)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@pytest.mark.parametrize("valency", range(3, 13))
+@pytest.mark.parametrize("coefficients", ["vandermonde", "random"])
+def test_kernel_plane_spans_the_node_relations(valency, coefficients):
+    star = SpliceDiagram.star(PRIMES[:valency])
+    coeffs = None
+    if coefficients == "random":
+        coeffs = {"n1": random_coefficients(star, "n1", random.Random(valency))}
+    block = build_system(star, coeffs=coeffs).blocks["n1"]
+    rows = block.matrix.rows
+    assert len(block.kernel) == 2 and rank(block.kernel) == 2
+    for y in block.kernel:
+        assert all(type(c) is Fraction for c in y)
+        for i in range(block.matrix.n_equations):
+            assert sum(yj * row[i] for yj, row in zip(y, rows)) == 0
+
+
+def test_rank_deficient_block_has_a_larger_plane(d1, d1_system):
+    from splicefan.system import CoefficientMatrix, NodeBlock, SpliceSystem
+
+    block = d1_system.blocks["v"]
+    bad = CoefficientMatrix(
+        "v", ((F(1), F(2)), (F(1), F(2)), (F(3), F(6)), (F(4), F(8)))
+    )
+    broken_block = NodeBlock("v", block.star, block.exponents, bad)
+    assert len(broken_block.kernel) >= 3
+    for y in broken_block.kernel:
+        assert all(sum(yj * row[i] for yj, row in zip(y, bad.rows)) == 0 for i in range(2))
+    blocks = dict(d1_system.blocks)
+    blocks["v"] = broken_block
+    broken = SpliceSystem(d1, blocks, d1_system.equations)
+    for drop in range(len(block.star)):
+        with pytest.raises(EliminationDegenerate):
+            node_binomials(broken, "v", drop)
 
 
 def test_parameterize_worked_example(d1_system, d1):

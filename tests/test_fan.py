@@ -1,5 +1,6 @@
 """Fans, embeddings, membership certificates, balancing, smoke checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,15 @@ from splicefan import (
     initial_ideal_generators,
     locate,
     membership,
+    build_system,
     monomial_in_span_oracle,
+    random_coefficients,
+    random_diagram,
     smoothness_smoke,
     splice_fan,
 )
-from splicefan.exact import rank, solve_exact
+from splicefan.exact import rank, rref, solve_exact
+from splicefan.fan import _random_kernel_vector
 
 F = Fraction
 
@@ -279,6 +284,43 @@ def test_smoke_repairs_sampling_when_hamm_breaks(d1, d1_system):
     broken = SpliceSystem(d1, blocks, d1_system.equations)
     report = smoothness_smoke(broken, _leaf_cone_point(d1), samples=2, seed=0)
     assert report.cell.kind == "in_cone" and report.repaired_sampling
+
+
+def _reference_kernel_vector(rows, rng):
+    """The sampler's former draw: one rref of the transposed matrix per try,
+    a random integer at each free column, pivots solved from them."""
+    count, k = len(rows), len(rows[0])
+    reduced, pivots = rref([[rows[e][i] for e in range(count)] for i in range(k)])
+    free = [c for c in range(count) if c not in pivots]
+    y = [Fraction(0)] * count
+    for c in free:
+        y[c] = Fraction(rng.randint(-9, 9))
+    if all(v == 0 for v in y):
+        return None
+    for row, p in zip(reduced, pivots):
+        y[p] = -sum(row[c] * y[c] for c in free)
+    return [complex(v) for v in y]
+
+
+def test_kernel_sampler_draws_as_the_rref_per_try(d1, d1_system):
+    from splicefan.system import CoefficientMatrix, NodeBlock
+
+    blocks = list(d1_system.blocks.values())
+    blocks.append(NodeBlock("v", d1_system.blocks["v"].star, d1_system.blocks["v"].exponents,
+                            CoefficientMatrix("v", ((F(1), F(2)), (F(1), F(2)), (F(3), F(6)),
+                                                    (F(4), F(8))))))
+    for shape in ((12, 1, 0), (10, 2, 0), (12, 4, 1)):
+        d = random_diagram(*shape)
+        crng = random.Random(shape[2])
+        blocks += build_system(d).blocks.values()
+        coeffs = {v: random_coefficients(d, v, crng) for v in d.nodes}
+        blocks += build_system(d, coeffs=coeffs).blocks.values()
+    for seed, block in enumerate(blocks):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            assert _random_kernel_vector(block.kernel, new) == (
+                _reference_kernel_vector(block.matrix.rows, old)
+            )
 
 
 def test_smoke_lets_programming_errors_through(d1, d1_system, monkeypatch):
