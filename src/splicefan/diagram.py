@@ -9,19 +9,21 @@ vector produced downstream.  All arithmetic is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import GenerationExhausted
+from .record import Record, hidden
 
 # half-edge weight pool for the random generator: primes and prime powers <= 49
 WEIGHT_POOL = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
                37, 41, 43, 47, 49)
+# Pairwise coprime pool entries are powers of distinct primes, so no node
+# carries more coprime leaf weights than the pool has primes.
+MAX_COPRIME_LEAVES = len({next(p for p in range(2, w + 1) if w % p == 0) for w in WEIGHT_POOL})
 RETRY_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     code: str
     detail: str
 
@@ -29,8 +31,7 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class AdmissibleCoweight:
+class AdmissibleCoweight(Record):
     """Non-negative leaf exponents a with sum(a[l] * l'(v,l)) == d(v,e).
 
     The support sits on the leaves strictly beyond the edge e as seen from
@@ -455,14 +456,13 @@ class _Semigroups:
         return out
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     edge_determinant: bool
     semigroup: bool
     coprime: bool
     # (node, neighbour) -> AdmissibleCoweight, the semigroup condition's
     # witnesses; None when that condition fails
-    admissible: dict | None = field(default=None, repr=False, compare=False)
+    admissible: dict | None = hidden(None)
 
     def all(self) -> bool:
         return self.edge_determinant and self.semigroup and self.coprime
@@ -571,6 +571,11 @@ def random_diagram(n_leaves: int, n_nodes: int, seed, require_coprime: bool = Tr
     if n_leaves < 3 or n_nodes < 1 or n_nodes > n_leaves - 2:
         raise GenerationExhausted(
             f"no diagram with {n_leaves} leaves and {n_nodes} nodes exists"
+        )
+    if require_coprime and n_leaves > MAX_COPRIME_LEAVES * n_nodes:
+        raise GenerationExhausted(
+            f"no coprime diagram with {n_leaves} leaves and {n_nodes} nodes exists: "
+            f"a node carries at most {MAX_COPRIME_LEAVES} pairwise coprime leaf weights"
         )
     rng = random.Random(seed)
     budget = RETRY_CAP

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import cmath
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
 from .diagram import SpliceDiagram
 from .errors import EliminationDegenerate, SolveFailed
 from .exact import gcd_list, smith_normal_form
+from .record import Record
 from .system import Polynomial, SpliceSystem
 
 NUMERIC_TOL = 1e-9
@@ -25,8 +25,7 @@ NUMERIC_TOL = 1e-9
 _numeric = threading.local()
 
 
-@dataclass(frozen=True)
-class RootedDiagram:
+class RootedDiagram(Record):
     diagram: SpliceDiagram
     root: str
     others: tuple  # non-root leaves, in declared leaf order
@@ -45,8 +44,7 @@ def root(diagram: SpliceDiagram, r) -> RootedDiagram:
     return RootedDiagram(diagram=diagram, root=r, others=others)
 
 
-@dataclass(frozen=True)
-class EndCurveSystem:
+class EndCurveSystem(Record):
     rooted: RootedDiagram
     system: SpliceSystem
     equations: tuple  # (node, index, Polynomial) with the root monomial removed
@@ -65,8 +63,7 @@ def end_curve_system(system: SpliceSystem, rooted: RootedDiagram) -> EndCurveSys
 # Binomial reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Record):
     """The relation z^lhs == const * z^rhs (const nonzero)."""
 
     node: str
@@ -80,8 +77,7 @@ class Binomial:
         return Polynomial([(self.lhs, const.denominator), (self.rhs, -const.numerator)])
 
 
-@dataclass(frozen=True)
-class BinomialSystem:
+class BinomialSystem(Record):
     rooted: RootedDiagram
     relations: tuple
 
@@ -269,8 +265,7 @@ def solve_binomial_torus(rows, consts, width):
 # Monomial curve parameterization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialCurve:
+class MonomialCurve(Record):
     """t -> (c_l * t^(e_l)) with one coefficient vector per component."""
 
     root: str

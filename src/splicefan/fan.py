@@ -12,7 +12,6 @@ node whose equations combine to a single lowest-weight monomial
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -34,6 +33,7 @@ from .exact import (
     reduce_row,
     unimodular_to_unit,
 )
+from .record import Record
 from .system import Polynomial, SpliceSystem, combination
 
 RANK_TOL = 1e-9
@@ -43,8 +43,7 @@ RANK_TOL = 1e-9
 # Fan construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(Record):
     label: str
     vector: tuple
 
@@ -52,8 +51,7 @@ class Ray:
         return sum(self.vector) == 1 and all(x in (0, 1) for x in self.vector)
 
 
-@dataclass(frozen=True)
-class Cone2:
+class Cone2(Record):
     rays: tuple  # (label, label)
     multiplicity: int
 
@@ -154,8 +152,7 @@ def barycenter(diagram: SpliceDiagram, v, leaves):
 # Locating a weight vector on the fan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellLocation:
+class CellLocation(Record):
     kind: str            # "on_ray" | "in_cone" | "outside"
     label: object = None  # ray label or cone label pair
     coeffs: tuple = ()   # exact coefficients on the primitive ray vectors
@@ -214,8 +211,7 @@ def _cone_coefficients(r1, r2, w):
 # Certificates of non-membership
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationContext:
+class TruncationContext(Record):
     """Coordinates of these leaves are set to zero before tropicalizing."""
 
     leaves: frozenset
@@ -224,8 +220,7 @@ class TruncationContext:
         return [diagram.leaf_index(l) for l in self.leaves]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Witness that w is off the local tropicalization.
 
     ``coefficients`` combine the node's equations into a polynomial whose
@@ -322,8 +317,7 @@ def _verify_certificate(system, w, kill, cert: Certificate):
 # Membership dichotomy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(Record):
     status: str                     # "in" | "out"
     cell: CellLocation | None = None
     certificate: Certificate | None = None
@@ -505,8 +499,7 @@ def check_balancing(fan: SpliceFan) -> bool:
 # Numeric smoothness smoke test
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmokeReport:
+class SmokeReport(Record):
     cell: CellLocation
     samples: int
     full_rank: bool

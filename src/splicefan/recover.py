@@ -9,16 +9,14 @@ refused: distinct diagrams can share such a fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import SpliceDiagram, check_conditions, validate
 from .errors import NonCoprimeFan, NotRealizable, SolveFailed, VerificationFailed
 from .exact import gcd_list, lcm_list
 from .fan import SpliceFan, splice_fan
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FanInput:
+class FanInput(Record):
     """Labeled fan data without a diagram reference.
 
     leaves are ordered by their unit coordinate; rays must be primitive,

@@ -10,13 +10,13 @@ predicate here is decided exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .diagram import SpliceDiagram, check_conditions
 from .errors import ConditionViolation, HammViolation, TailViolation
 from .exact import det_int, dot, kernel_basis, lcm_list, nullspace_one
+from .record import Record, hidden
 
 INF = math.inf
 
@@ -171,8 +171,7 @@ def evaluate(poly: Polynomial, point):
 # Coefficient matrices and the Hamm condition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
+class CoefficientMatrix(Record):
     """Rows indexed by the node's star (canonical order), one column per equation."""
 
     node: str
@@ -231,8 +230,7 @@ def random_coefficients(diagram: SpliceDiagram, v, rng) -> CoefficientMatrix:
 # The system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NodeBlock:
+class NodeBlock(Record):
     """Per-node data: star order, admissible exponents, coefficient matrix.
 
     ``kernel`` is derived from the matrix: ``exact.kernel_basis`` of the
@@ -244,7 +242,7 @@ class NodeBlock:
     star: tuple            # neighbour ids in canonical star order
     exponents: tuple       # admissible exponent tuple per incident edge
     matrix: CoefficientMatrix
-    kernel: tuple = field(init=False, repr=False, compare=False)
+    kernel: tuple = hidden(init=False)
 
     def __post_init__(self):
         rows = self.matrix.rows
@@ -252,8 +250,7 @@ class NodeBlock:
         object.__setattr__(self, "kernel", kernel_basis(transposed, len(rows)))
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     node: str
     index: int             # 1-based within the node
     minimal: Polynomial

@@ -23,6 +23,7 @@ from splicefan import (
     splice_fan,
     validate,
 )
+from splicefan import diagram as diagram_module
 from splicefan.documents import diagram_from_doc
 
 
@@ -245,11 +246,24 @@ def test_random_star_is_coprime():
     assert check_conditions(d).coprime
 
 
-def test_random_diagram_impossible_shape():
+def test_random_diagram_impossible_shape(monkeypatch):
     with pytest.raises(GenerationExhausted):
         random_diagram(3, 2, seed=0)
     with pytest.raises(GenerationExhausted):
         random_diagram(2, 1, seed=0)
+    # each node's coprime leaf weights use distinct primes of the pool
+    assert diagram_module.MAX_COPRIME_LEAVES == 15
+    attempts = []
+    attempt = diagram_module._attempt
+    monkeypatch.setattr(
+        diagram_module, "_attempt", lambda *args: attempts.append(args) or attempt(*args)
+    )
+    for shape in ((16, 1), (31, 2)):
+        with pytest.raises(GenerationExhausted, match="at most 15 pairwise coprime"):
+            random_diagram(*shape, seed=1)
+    assert attempts == []
+    d = random_diagram(16, 1, seed=1, require_coprime=False)
+    assert len(d.leaves) == 16 and attempts
 
 
 def test_random_non_coprime_allowed():

@@ -312,9 +312,18 @@ def test_numeric_solve_leaves_global_mpmath_precision_alone(monkeypatch):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    code = "import sys, splicefan.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    """``import splicefan.cli`` loads neither the numeric libraries nor the
+    code-generating ``dataclasses`` and its ``inspect``.  Only modules that
+    a bare interpreter does not already load count: site hooks differ."""
+    heavy = ("numpy", "mpmath", "dataclasses", "inspect")
+    probe = f"import json, sys; print(json.dumps([m for m in {heavy!r} if m in sys.modules]))"
+    loaded = []
+    for prefix in ("", "import splicefan.cli; "):
+        proc = subprocess.run([sys.executable, "-c", prefix + probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(set(json.loads(proc.stdout)))
+    bare, cli = loaded
+    assert cli - bare == set()
 
 
 def test_numeric_solves_agree_across_threads():
