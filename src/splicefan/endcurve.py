@@ -87,17 +87,18 @@ def node_binomials(system: SpliceSystem, v, drop_position):
 
     ``drop_position`` indexes the star monomial that has been removed; the
     last surviving monomial in star order is the common reference.  The star
-    monomials' values lie on the node's kernel plane (``NodeBlock.kernel``),
-    and those with the dropped value zero on its line a_p * b - b_p * a, so
-    every relation constant is a ratio of two entries of that line.  Hamm
-    guarantees a plane whose line has no zero entry.
+    monomials' values lie on the node's kernel plane
+    (``CoefficientMatrix.kernel``), and those with the dropped value zero on
+    its line a_p * b - b_p * a, whose entries are the plane's 2x2 minors at
+    the dropped position, so every relation constant is a ratio of two of
+    them.  Hamm guarantees a plane with no zero minor.
     """
     block = system.blocks[v]
+    matrix = block.matrix
     surviving = [j for j in range(len(block.star)) if j != drop_position]
     line = None
-    if len(block.kernel) == 2:
-        a, b = block.kernel
-        line = [a[drop_position] * b[j] - b[drop_position] * a[j] for j in surviving]
+    if len(matrix.kernel) == 2:
+        line = [matrix.plane_minor(drop_position, j) for j in surviving]
     if line is None or not all(line):
         raise EliminationDegenerate(
             f"vanishing relation constant at node {v!r}; Hamm condition broken"

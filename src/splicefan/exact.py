@@ -136,36 +136,6 @@ def solve_exact(rows, rhs):
     return tuple(sol)
 
 
-# ---------------------------------------------------------------------------
-# Fraction-free integer elimination
-# ---------------------------------------------------------------------------
-
-def det_int(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
-
-    Each step divides by the previous pivot, and that division is exact
-    (Sylvester's identity), so every intermediate entry is itself a minor
-    of the input and stays an integer.
-    """
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, top = a[k][k], a[k]
-        for i in range(k + 1, n):
-            row, f = a[i], a[i][k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * top[j]) // prev
-        prev = pivot
-    return sign * a[-1][-1] if n else 1
-
-
 def lead_index(row):
     return next((i for i, x in enumerate(row) if x), len(row))
 

@@ -715,7 +715,7 @@ def _sample_node_ray_logs(system, node, rng):
     # the node's own equations are linear in y_e = z^(admissible exponent);
     # pick a random kernel vector of the transposed coefficient matrix
     for _ in range(40):
-        y = _random_kernel_vector(block.kernel, rng)
+        y = _random_kernel_vector(block.matrix.kernel, rng)
         if y is not None and all(abs(c) > 1e-12 for c in y):
             break
     else:

@@ -2,10 +2,10 @@
 
 A subclass of ``Record`` declares its fields as annotations, in constructor
 order, with optional defaults.  The base supplies what a frozen dataclass
-would: construction by position or keyword (then ``__post_init__``),
-equality only between instances of the same class, a hash of the compared
-fields, the dataclass repr, and immutability.  They are ordinary methods
-reading a field table built once per class, so no code is generated.
+would: construction by position or keyword, equality only between
+instances of the same class, a hash of the compared fields, the dataclass
+repr, and immutability.  They are ordinary methods reading a field table
+built once per class, so no code is generated.
 """
 
 _MISSING = object()
@@ -16,17 +16,12 @@ class FrozenRecordError(AttributeError):
 
 
 class hidden:
-    """A field default that keeps the field out of repr, equality and hash.
+    """A field default that keeps the field out of repr, equality and hash."""
 
-    With ``init=False`` the constructor takes no argument for the field;
-    ``__post_init__`` sets it with ``object.__setattr__``.
-    """
+    __slots__ = ("default",)
 
-    __slots__ = ("default", "init")
-
-    def __init__(self, default=_MISSING, *, init=True):
+    def __init__(self, default):
         self.default = default
-        self.init = init
 
 
 class Record:
@@ -39,16 +34,11 @@ class Record:
         for name in cls.__dict__.get("__annotations__", {}):
             default = cls.__dict__.get(name, _MISSING)
             if isinstance(default, hidden):
-                option, default = default, default.default
-                if default is _MISSING:
-                    delattr(cls, name)
-                else:
-                    setattr(cls, name, default)
-                if option.init:
-                    init.append((name, default))
+                default = default.default
+                setattr(cls, name, default)
             else:
-                init.append((name, default))
                 shown.append(name)
+            init.append((name, default))
         cls._init, cls._shown = tuple(init), tuple(shown)
 
     def __init__(self, *args, **kwargs):
@@ -67,10 +57,6 @@ class Record:
         if kwargs:
             raise TypeError(f"{type(self).__qualname__}() got an unexpected or "
                             f"repeated argument {next(iter(kwargs))!r}")
-        self.__post_init__()
-
-    def __post_init__(self):
-        pass
 
     def _key(self):
         values = self.__dict__

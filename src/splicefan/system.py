@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 
 from .diagram import SpliceDiagram, check_conditions
 from .errors import ConditionViolation, HammViolation, TailViolation
-from .exact import det_int, dot, kernel_basis, lcm_list, nullspace_one
-from .record import Record, hidden
+from .exact import dot, kernel_basis, nullspace_one
+from .record import Record
 
 INF = math.inf
 
@@ -185,21 +185,36 @@ class CoefficientMatrix(Record):
     def n_equations(self):
         return len(self.rows[0]) if self.rows else 0
 
+    @cached_property
+    def kernel(self):
+        """``exact.kernel_basis`` of the transposed matrix: a basis of the
+        values {y : sum_j y_j * rows[j] = 0} of the star monomials.  Computed
+        once, on first read; under Hamm it spans a plane."""
+        rows = self.rows
+        transposed = [[row[i] for row in rows] for i in range(self.n_equations)]
+        return kernel_basis(transposed, len(rows))
+
+    def plane_minor(self, p, q):
+        """The kernel plane's 2x2 minor at star positions p and q."""
+        a, b = self.kernel
+        return a[p] * b[q] - a[q] * b[p]
+
 
 def check_hamm(matrix: CoefficientMatrix) -> bool:
-    """All maximal minors (choose n_equations rows) must be nonzero."""
+    """All maximal minors (choose n_equations rows) must be nonzero.
+
+    By Pluecker duality the minor without rows p and q is, up to sign and one
+    common nonzero factor, the kernel plane's 2x2 minor at (p, q); a kernel
+    larger than a plane means every maximal minor vanishes.
+    """
     k = matrix.n_equations
     if k < 1 or matrix.n_edges != k + 2:
         raise ValueError("matrix must have shape (valency, valency - 2)")
-    rows = [tuple(Fraction(x) for x in r) for r in matrix.rows]
-    if any(len(r) != k for r in rows):
+    if any(len(r) != k for r in matrix.rows):
         raise ValueError("ragged coefficient matrix")
-    # clearing each row's denominators scales every minor by a positive factor
-    scaled = []
-    for r in rows:
-        den = lcm_list(x.denominator for x in r)
-        scaled.append(tuple(x.numerator * (den // x.denominator) for x in r))
-    return all(det_int(sel) != 0 for sel in combinations(scaled, k))
+    return len(matrix.kernel) == 2 and all(
+        matrix.plane_minor(p, q) for q in range(k + 2) for p in range(q)
+    )
 
 
 def default_coefficients(diagram: SpliceDiagram, v) -> CoefficientMatrix:
@@ -231,23 +246,12 @@ def random_coefficients(diagram: SpliceDiagram, v, rng) -> CoefficientMatrix:
 # ---------------------------------------------------------------------------
 
 class NodeBlock(Record):
-    """Per-node data: star order, admissible exponents, coefficient matrix.
-
-    ``kernel`` is derived from the matrix: ``exact.kernel_basis`` of the
-    transposed matrix, i.e. a basis of the values {y : sum_j y_j * rows[j] = 0}
-    of the star monomials.  Under Hamm it spans a plane.
-    """
+    """Per-node data: star order, admissible exponents, coefficient matrix."""
 
     node: str
     star: tuple            # neighbour ids in canonical star order
     exponents: tuple       # admissible exponent tuple per incident edge
     matrix: CoefficientMatrix
-    kernel: tuple = hidden(init=False)
-
-    def __post_init__(self):
-        rows = self.matrix.rows
-        transposed = [[row[i] for row in rows] for i in range(self.matrix.n_equations)]
-        object.__setattr__(self, "kernel", kernel_basis(transposed, len(rows)))
 
 
 class Equation(Record):

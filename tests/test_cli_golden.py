@@ -64,6 +64,7 @@ REFUSALS = [
     ["check", "nokeys.json"],                       # 2: schema
     ["member", "d1.json", "--w", "1,2"],            # 2: wrong length
     ["member", "d1.json", "--w", "1,x,1,1,1"],      # 2: not a rational
+    ["member", "d1.json", "--samples", "-1"],       # 2: negative sample count
     ["check", "det.json"],                          # 1: edge determinant
     ["system", "det.json"],                         # 1: edge determinant
     ["member", "d1.json", "--w", "0,1,1,1,1"],      # 1: not strictly positive
@@ -151,6 +152,7 @@ def build_corpus():
     cmds.append(["member", "d1.json", "--w", "147,98,60,84,210"])
     cmds.append(["initial", "d1.json", "--w", "147,98,60,84,210"])
     cmds.append(["member", "d1.json", "--w-file", "ws_d1.txt"])
+    cmds.append(["member", "d1.json", "--samples", "0"])
     cmds.extend(REFUSALS)
     return files, cmds
 

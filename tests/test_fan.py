@@ -318,7 +318,7 @@ def test_kernel_sampler_draws_as_the_rref_per_try(d1, d1_system):
     for seed, block in enumerate(blocks):
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(40):
-            assert _random_kernel_vector(block.kernel, new) == (
+            assert _random_kernel_vector(block.matrix.kernel, new) == (
                 _reference_kernel_vector(block.matrix.rows, old)
             )
 

@@ -35,7 +35,6 @@ MODULES = tuple(
 # the field options that differ from a dataclass field's defaults
 HIDDEN = {
     ("ConditionReport", "admissible"): dict(default=None, repr=False, compare=False),
-    ("NodeBlock", "kernel"): dict(init=False, repr=False, compare=False),
 }
 
 
@@ -135,13 +134,6 @@ def test_hidden_fields_stay_out_of_repr_equality_and_hash(d1):
     bare = type(report)(report.edge_determinant, report.semigroup, report.coprime)
     assert bare.admissible is None and bare == report and hash(bare) == hash(report)
     assert "admissible" not in repr(report)
-    block = build_system(d1).blocks["u"]
-    rebuilt = type(block)(block.node, block.star, block.exponents, block.matrix)
-    assert rebuilt.kernel == block.kernel and "kernel" not in repr(block)
-    with pytest.raises(TypeError):
-        type(block)(block.node, block.star, block.exponents, block.matrix, block.kernel)
-    with pytest.raises(TypeError):
-        type(block)(block.node, block.star, block.exponents, block.matrix, kernel=())
 
 
 def test_bad_arguments_raise_type_errors():

@@ -1,6 +1,8 @@
 """Splice type systems: Hamm checks, assembly, initial forms, tails."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +26,6 @@ from splicefan import (
     validate_tail,
     w_weight,
 )
-from splicefan.exact import det_int
 
 F = Fraction
 
@@ -76,25 +77,74 @@ def _fraction_det(rows):
     return det
 
 
-def test_det_int_matches_fraction_determinant():
-    rng = random.Random(11)
-    singular = 0
-    for trial in range(500):
-        n = rng.randint(1, 10)
-        bound = rng.choice([1, 3, 9, 1000])
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        if n > 1 and trial % 3 == 0:
-            # row i becomes a combination of other rows (zero and repeats included)
-            i = rng.randrange(n)
-            p, q = (rng.choice([r for t, r in enumerate(rows) if t != i]) for _ in "pq")
-            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-            rows[i] = [a * x + b * y for x, y in zip(p, q)]
-        expected = _fraction_det(rows)
-        got = det_int(rows)
-        assert type(got) is int and got == expected
-        singular += expected == 0
-    assert singular >= 100
-    assert det_int([]) == 1
+def _seeded_hamm_matrices(count, seed):
+    """Matrices of valency 3-8 from three families in turn: entries with
+    denominators, zero-heavy entries in {-1, 0, 1}, and a last column that
+    is the sum of the others (so every maximal minor vanishes)."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        valency = rng.randint(3, 8)
+        k = valency - 2
+        family = trial % 3
+        rows = []
+        for _ in range(valency):
+            if family == 0:
+                row = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
+            elif family == 1:
+                row = [F(rng.choice((-1, 0, 1))) for _ in range(k)]
+            else:
+                row = [F(rng.randint(-5, 5)) for _ in range(k - 1)]
+                row.append(sum(row, F(0)))
+            rows.append(tuple(row))
+        yield CoefficientMatrix("v", tuple(rows))
+
+
+def test_check_hamm_is_every_maximal_minor_nonzero():
+    failing = 0
+    for m in _seeded_hamm_matrices(600, 11):
+        expected = all(
+            _fraction_det(sel) != 0 for sel in combinations(m.rows, m.n_equations)
+        )
+        assert check_hamm(m) == expected, m.rows
+        failing += not expected
+    assert 100 <= failing <= 500
+
+
+def test_check_hamm_refuses_ragged_rows_before_eliminating():
+    m = CoefficientMatrix("v", ((F(1), F(2)), (F(1),), (F(3), F(4)), (F(5), F(6))))
+    with pytest.raises(ValueError, match="ragged"):
+        check_hamm(m)
+    assert "kernel" not in vars(m)
+
+
+def test_lazy_kernel_plane_is_thread_safe():
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    rng = random.Random(3)
+    drawn = []
+    for valency in range(3, 9):
+        star = SpliceDiagram.star(primes[:valency])
+        drawn += [random_coefficients(star, "n1", rng) for _ in range(4)]
+
+    def fresh():
+        # new records of the same rows, whose kernels are not read yet
+        return [CoefficientMatrix(m.node, m.rows) for m in drawn]
+
+    def read(matrices):
+        return [(check_hamm(m), m.kernel) for m in matrices]
+
+    expected = read(fresh())
+    shared = fresh()
+    assert not any("kernel" in vars(m) for m in shared)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda _: read(shared), range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4
+    assert all(result == expected for result in results)
+    assert all(hamm for hamm, _ in expected)
 
 
 def test_check_hamm_on_non_integer_rationals():
