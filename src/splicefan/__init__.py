@@ -70,7 +70,6 @@ from .fan import (
     splice_fan,
 )
 from .recover import (
-    FanInput,
     diagrams_isomorphic,
     recover,
     recover_star,

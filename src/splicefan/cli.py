@@ -223,11 +223,11 @@ def _cmd_endcurve(args):
 
 def _cmd_recover(args):
     try:
-        fan_input = docs.fan_input_from_doc(_load_json(args.fan))
+        fan = docs.fan_from_doc(_load_json(args.fan))
     except DocumentError as exc:
         raise _Refusal("error", {"message": str(exc)}, EXIT_PARSE)
     try:
-        diagram = recover(fan_input)
+        diagram = recover(fan)
     except (NonCoprimeFan, NotRealizable, SolveFailed, VerificationFailed) as exc:
         raise _Refusal(
             "violation",

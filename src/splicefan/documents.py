@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from .diagram import SpliceDiagram
 from .errors import DocumentError
-from .fan import Certificate, CellLocation, SpliceFan
-from .recover import FanInput
+from .fan import Certificate, CellLocation, Cone2, Ray, SpliceFan
 from .system import CoefficientMatrix, Polynomial, SpliceSystem, build_system
 
 
@@ -240,17 +239,26 @@ def fan_to_doc(fan: SpliceFan) -> dict:
     }
 
 
-def fan_input_from_doc(doc) -> FanInput:
+def fan_from_doc(doc) -> SpliceFan:
+    """Strict: a repeated ray label or cone, or a vector of a length other
+    than the declared n, is refused."""
     _require_keys(doc, ("n", "rays", "cones"), what="fan document")
-    rays = {}
+    n = _parse_int(doc["n"], "dimension", "fan document")
+    rays, labels = [], set()
     for entry in _require_list(doc["rays"], "rays"):
         _require_keys(entry, ("label", "vector"), what="ray")
         label = entry["label"]
         if not isinstance(label, str):
             raise DocumentError(f"ray label {label!r} must be a string")
+        if label in labels:
+            raise DocumentError(f"ray label {label!r} repeats")
+        labels.add(label)
         vector = _require_list(entry["vector"], f"vector of ray {label!r}")
-        rays[label] = tuple(_parse_int(x, "entry", f"ray {label!r}") for x in vector)
-    cones = {}
+        if len(vector) != n:
+            raise DocumentError(f"vector of ray {label!r} does not have length {n}")
+        vector = tuple(_parse_int(x, "entry", f"ray {label!r}") for x in vector)
+        rays.append(Ray(label, vector))
+    cones, pairs = [], set()
     for entry in _require_list(doc["cones"], "cones"):
         _require_keys(entry, ("rays", "multiplicity"), what="cone")
         pair = entry["rays"]
@@ -259,11 +267,12 @@ def fan_input_from_doc(doc) -> FanInput:
             and all(isinstance(x, str) for x in pair) and pair[0] != pair[1]
         ):
             raise DocumentError(f"cone {pair!r} must have two rays")
-        cones[frozenset(pair)] = _parse_int(
-            entry["multiplicity"], "multiplicity", f"cone {pair!r}"
-        )
-    n = _parse_int(doc["n"], "dimension", "fan document")
-    return FanInput(n=n, rays=rays, cones=cones)
+        if frozenset(pair) in pairs:
+            raise DocumentError(f"cone {pair!r} repeats")
+        pairs.add(frozenset(pair))
+        m = _parse_int(entry["multiplicity"], "multiplicity", f"cone {pair!r}")
+        cones.append(Cone2(tuple(pair), m))
+    return SpliceFan(rays, cones)
 
 
 # ---------------------------------------------------------------------------

@@ -57,15 +57,19 @@ class Cone2(Record):
 
 
 class SpliceFan:
-    def __init__(self, diagram, rays, cones):
-        self.diagram = diagram
+    def __init__(self, rays, cones):
         self.rays = tuple(rays)
         self.cones = tuple(cones)
         self.ray_by_label = {r.label: r for r in self.rays}
 
     @property
     def n(self):
-        return len(self.rays[0].vector)
+        return len(self.rays[0].vector) if self.rays else 0
+
+    def leaf_labels(self):
+        """Labels of the unit rays, in the order of their coordinates."""
+        units = {r.vector.index(1): r.label for r in self.rays if r.is_unit()}
+        return [units[i] for i in sorted(units)]
 
     def node_labels(self):
         return [r.label for r in self.rays if not r.is_unit()]
@@ -122,7 +126,7 @@ def splice_fan(diagram: SpliceDiagram) -> SpliceFan:
                 f"cone [{a},{b}]",
             )
         cones.append(Cone2(rays=(a, b), multiplicity=mult))
-    return SpliceFan(diagram, rays, cones)
+    return SpliceFan(rays, cones)
 
 
 def embed_vertex(diagram: SpliceDiagram, v):

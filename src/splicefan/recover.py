@@ -12,75 +12,59 @@ from __future__ import annotations
 from .diagram import SpliceDiagram, check_conditions, validate
 from .errors import NonCoprimeFan, NotRealizable, SolveFailed, VerificationFailed
 from .exact import gcd_list, lcm_list
-from .fan import SpliceFan, splice_fan
-from .record import Record
+from .fan import Ray, SpliceFan, splice_fan
 
 
-class FanInput(Record):
-    """Labeled fan data without a diagram reference.
-
-    leaves are ordered by their unit coordinate; rays must be primitive,
-    cones must form a tree on the ray labels.
-    """
-
-    n: int
-    rays: dict      # label -> integer vector
-    cones: dict     # frozenset({a, b}) -> multiplicity
-
-    @classmethod
-    def from_fan(cls, fan: SpliceFan) -> "FanInput":
-        return cls(
-            n=fan.n,
-            rays={r.label: tuple(r.vector) for r in fan.rays},
-            cones={frozenset(c.rays): c.multiplicity for c in fan.cones},
-        )
-
-    def leaf_labels(self):
-        units = {}
-        for label, vec in self.rays.items():
-            support = [i for i, x in enumerate(vec) if x]
-            if len(support) == 1 and vec[support[0]] == 1:
-                units[support[0]] = label
-        return [units[i] for i in sorted(units)]
-
-    def node_labels(self):
-        leaf_set = set(self.leaf_labels())
-        return [label for label in self.rays if label not in leaf_set]
+def _link(fan: SpliceFan):
+    """The cone tree as adjacency sets: ray label -> labels sharing a cone."""
+    adjacency = {r.label: set() for r in fan.rays}
+    for cone in fan.cones:
+        a, b = cone.rays
+        if a not in adjacency or b not in adjacency:
+            raise NotRealizable(f"cone {cone.rays} uses an unknown ray")
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return adjacency
 
 
-def _check_fan_input(fan: FanInput):
-    leaves = fan.leaf_labels()
-    if len(leaves) != fan.n or len(set(leaves)) != fan.n:
+def _check_fan_input(fan: SpliceFan):
+    n = fan.n
+    if len(fan.ray_by_label) != len(fan.rays):
+        raise NotRealizable("ray labels repeat")
+    leaves, nodes = fan.leaf_labels(), fan.node_labels()
+    if len(leaves) != n or len(leaves) + len(nodes) != len(fan.rays):
         raise NotRealizable("unit rays do not give every coordinate exactly once")
-    if any(len(vec) != fan.n for vec in fan.rays.values()):
+    if not nodes:
+        raise NotRealizable("the fan has no node ray")
+    if any(len(r.vector) != n for r in fan.rays):
         raise NotRealizable("ray vectors have inconsistent lengths")
-    for label, vec in fan.rays.items():
+    for ray in fan.rays:
+        label, vec = ray.label, ray.vector
         if any(x < 0 for x in vec) or all(x == 0 for x in vec):
             raise NotRealizable(f"ray {label!r} is not a nonzero non-negative vector")
         if gcd_list(vec) != 1:
             raise NotRealizable(f"ray {label!r} is not primitive")
+        # a node ray lists linking numbers, which are all positive
+        if not (ray.is_unit() or all(vec)):
+            raise NotRealizable(f"node ray {label!r} is not strictly positive")
     # the link of the fan must be a tree on the ray labels
-    labels = set(fan.rays)
-    if len(fan.cones) != len(labels) - 1:
+    if len(fan.cones) != len(fan.rays) - 1:
         raise NotRealizable("cone count does not match a tree")
-    adjacency = {label: set() for label in labels}
-    for pair in fan.cones:
-        a, b = sorted(pair)
-        if a not in labels or b not in labels:
-            raise NotRealizable(f"cone {pair} uses an unknown ray")
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    adjacency = _link(fan)
     seen = set()
-    stack = [next(iter(labels))]
+    stack = [fan.rays[0].label]
     while stack:
         x = stack.pop()
         if x in seen:
             continue
         seen.add(x)
         stack.extend(adjacency[x] - seen)
-    if seen != labels:
+    if len(seen) != len(fan.rays):
         raise NotRealizable("fan link is not connected")
-    if any(m != 1 for m in fan.cones.values()):
+    for leaf in leaves:
+        if len(adjacency[leaf]) != 1:
+            raise NotRealizable(f"unit ray {leaf!r} does not lie on exactly one cone")
+    if any(c.multiplicity != 1 for c in fan.cones):
         raise NonCoprimeFan(
             "a multiplicity differs from one; recovery would be ambiguous"
         )
@@ -108,7 +92,7 @@ def recover_star(w) -> SpliceDiagram:
     return diagram
 
 
-def recover(fan_input: FanInput) -> SpliceDiagram:
+def recover(fan: SpliceFan) -> SpliceDiagram:
     """Reconstruct the unique coprime diagram whose splice fan is the input.
 
     Recursive pruning: at an end-node u read d(u, v) and the total weight
@@ -117,31 +101,34 @@ def recover(fan_input: FanInput) -> SpliceDiagram:
     the prune matrix, and recurse; single-node fans are stars.  The result
     is verified by rebuilding its fan.
     """
-    _check_fan_input(fan_input)
-    diagram = _recover_tree(fan_input)
+    _check_fan_input(fan)
+    diagram = _recover_tree(fan)
     if validate(diagram):
         raise VerificationFailed("recovered object is not a valid splice diagram")
     report = check_conditions(diagram)
     if not (report.edge_determinant and report.semigroup and report.coprime):
         raise VerificationFailed("recovered diagram fails the diagram conditions")
-    rebuilt = FanInput.from_fan(splice_fan(diagram))
-    if rebuilt.rays != fan_input.rays or rebuilt.cones != fan_input.cones:
+    if _unordered(splice_fan(diagram)) != _unordered(fan):
         raise VerificationFailed("recovered diagram does not reproduce the fan")
     return diagram
 
 
-def _recover_tree(fan: FanInput) -> SpliceDiagram:
+def _unordered(fan: SpliceFan):
+    """The fan up to document order: its rays, and its cones' multiplicities."""
+    return (
+        {(r.label, tuple(r.vector)) for r in fan.rays},
+        {frozenset(c.rays): c.multiplicity for c in fan.cones},
+    )
+
+
+def _recover_tree(fan: SpliceFan) -> SpliceDiagram:
     leaves = fan.leaf_labels()
     nodes = fan.node_labels()
-    adjacency = {label: set() for label in fan.rays}
-    for pair in fan.cones:
-        a, b = tuple(pair)
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+    adjacency = _link(fan)
 
     if len(nodes) == 1:
         node = nodes[0]
-        star = recover_star(fan.rays[node])
+        star = recover_star(fan.ray_by_label[node].vector)
         edges = [
             (node, leaf, star.weight(star.nodes[0], inner), None)
             for leaf, inner in zip(leaves, star.leaves)
@@ -157,7 +144,7 @@ def _recover_tree(fan: FanInput) -> SpliceDiagram:
     u_leaves = sorted(adjacency[u] - {v}, key=leaves.index)
     if not u_leaves:
         raise NotRealizable(f"end-node {u!r} has no leaves")
-    w_u = fan.rays[u]
+    w_u = fan.ray_by_label[u].vector
     positions = {leaf: i for i, leaf in enumerate(leaves)}
     entries = [w_u[positions[l]] for l in u_leaves]
     d_uv = gcd_list(entries)
@@ -188,20 +175,12 @@ def _recover_tree(fan: FanInput) -> SpliceDiagram:
             out[new_positions[l]] = vec[positions[l]]
         return tuple(out)
 
-    new_rays = {u: tuple(int(l == u) for l in new_leaves)}
-    for l in kept:
-        new_rays[l] = tuple(int(x == l) for x in new_leaves)
-    for x in nodes:
-        if x != u:
-            new_rays[x] = prune_vector(fan.rays[x])
-    new_cones = {}
-    for pair in fan.cones:
-        a, b = tuple(pair)
-        if a in u_leaves or b in u_leaves:
-            continue
-        new_cones[pair] = 1
-    pruned = FanInput(n=len(new_leaves), rays=new_rays, cones=new_cones)
-    inner = _recover_tree(pruned)
+    new_rays = [Ray(l, tuple(int(x == l) for x in new_leaves)) for l in new_leaves]
+    new_rays += [
+        Ray(x, prune_vector(fan.ray_by_label[x].vector)) for x in nodes if x != u
+    ]
+    new_cones = [c for c in fan.cones if not set(c.rays) & set(u_leaves)]
+    inner = _recover_tree(SpliceFan(new_rays, new_cones))
 
     # graft the star of u back onto the recovered smaller diagram
     edges = []
@@ -246,5 +225,4 @@ def diagrams_isomorphic(a: SpliceDiagram, b: SpliceDiagram) -> bool:
 
 def roundtrip(diagram: SpliceDiagram) -> bool:
     """recover(splice_fan(diagram)) must reproduce the diagram."""
-    recovered = recover(FanInput.from_fan(splice_fan(diagram)))
-    return diagrams_isomorphic(diagram, recovered)
+    return diagrams_isomorphic(diagram, recover(splice_fan(diagram)))

@@ -22,7 +22,6 @@ import pytest
 
 from conftest import system_for
 from splicefan import (
-    FanInput,
     MonomialCurve,
     NonCoprimeFan,
     Polynomial,
@@ -160,7 +159,7 @@ def test_criterion_6_balancing(pool_small, d1_fan):
                 Cone2(c.rays, c.multiplicity + 1 if i == k else c.multiplicity)
                 for i, c in enumerate(fan.cones)
             ]
-            assert not check_balancing(SpliceFan(fan.diagram, fan.rays, cones))
+            assert not check_balancing(SpliceFan(fan.rays, cones))
     print(f"criterion 6 (balancing, {len(fans)} fans): PASS")
 
 
@@ -169,12 +168,10 @@ def test_criterion_7_recovery_round_trip(pool_coprime, d1, d1_fan):
     assert roundtrip(d1)
     for d in pool_coprime:
         assert roundtrip(d)
-    base = FanInput.from_fan(d1_fan)
-    for pair in base.cones:
-        cones = dict(base.cones)
-        cones[pair] = 4
+    for k in range(len(d1_fan.cones)):
+        cones = [Cone2(c.rays, 4 if i == k else 1) for i, c in enumerate(d1_fan.cones)]
         with pytest.raises(NonCoprimeFan):
-            recover(FanInput(n=base.n, rays=base.rays, cones=cones))
+            recover(SpliceFan(d1_fan.rays, cones))
     print(f"criterion 7 (recovery, {len(pool_coprime) + 1} round-trips): PASS")
 
 

@@ -73,6 +73,8 @@ REFUSALS = [
     ["check", "semi.json"],                         # 1: semigroup condition
     ["system", "semi.json"],                        # 3: semigroup condition
     ["random", "--leaves", "3", "--nodes", "2", "--seed", "9"],  # 3: no such shape
+    ["recover", "nonodefan.json"],                  # 1: no node ray
+    ["recover", "zerofan_d1.json"],                 # 1: zero entry in a node ray
 ]
 
 
@@ -147,6 +149,16 @@ def build_corpus():
     files["det.json"] = json.dumps(_two_node_doc(1, 1), indent=2)
     files["semi.json"] = json.dumps(_two_node_doc(1, 100), indent=2)
     files["ws_d1.txt"] = "1,1,1,1,1\n147,98,60,84,210\n"
+    files["nonodefan.json"] = json.dumps({
+        "n": 3,
+        "rays": [{"label": x, "vector": [int(i == k) for i in range(3)]}
+                 for k, x in enumerate("abc")],
+        "cones": [{"rays": pair, "multiplicity": 1} for pair in (["a", "b"], ["b", "c"])],
+    }, indent=2)
+    zero_fan = json.loads(files["fan_d1.json"])
+    zero_fan["rays"][5]["vector"] = [0, 3, 1, 1, 1]  # u
+    zero_fan["rays"][6]["vector"] = [1, 1, 2, 3, 5]  # v
+    files["zerofan_d1.json"] = json.dumps(zero_fan, indent=2)
     for name, doc in diagrams.items():
         cmds.extend(_diagram_commands(name, doc))
     cmds.append(["member", "d1.json", "--w", "147,98,60,84,210"])

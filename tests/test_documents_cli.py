@@ -12,7 +12,7 @@ from splicefan import DocumentError, Polynomial, build_system, check_conditions,
 from splicefan.documents import (
     diagram_from_doc,
     diagram_to_doc,
-    fan_input_from_doc,
+    fan_from_doc,
     fan_to_doc,
     format_rational,
     parse_rational,
@@ -97,9 +97,10 @@ def test_fan_doc_round_trip(d1_fan):
     doc = fan_to_doc(d1_fan)
     assert doc["n"] == 5
     assert doc["rays"][5] == {"label": "u", "vector": [147, 98, 60, 84, 210]}
-    fan_input = fan_input_from_doc(doc)
-    assert fan_input.rays["v"] == (210, 140, 110, 154, 385)
-    assert all(m == 1 for m in fan_input.cones.values())
+    fan = fan_from_doc(doc)
+    assert fan.ray_by_label["v"].vector == (210, 140, 110, 154, 385)
+    assert all(c.multiplicity == 1 for c in fan.cones)
+    assert fan_to_doc(fan) == doc
 
 
 def test_system_doc_rejects_mistyped_exponents(d1):
@@ -312,10 +313,22 @@ def _mistyped(doc, change):
         ("recover", _mistyped(_d1_fan_doc(), lambda d: d["rays"][0].update(vector=["x"] * 5))),
         ("recover", _mistyped(_d1_fan_doc(), lambda d: d.update(n="five"))),
         ("recover", _mistyped(_d1_fan_doc(), lambda d: d["cones"][0].update(rays=[["u"], "l1"]))),
+        ("recover", _mistyped(_d1_fan_doc(), lambda d: d["rays"].insert(
+            0, {"label": "u", "vector": [1, 1, 1, 1, 1]}))),
+        ("recover", _mistyped(_d1_fan_doc(), lambda d: d["cones"].insert(
+            0, {"rays": ["l1", "u"], "multiplicity": 2}))),
+        ("recover", _mistyped(_d1_fan_doc(), lambda d: d["cones"].append(
+            {"rays": ["u", "l1"], "multiplicity": 1}))),
+        ("recover", _mistyped(_d1_fan_doc(), lambda d: d["rays"][5].update(
+            vector=[147, 98, 60, 84]))),
+        ("recover", _mistyped(_d1_fan_doc(), lambda d: d["rays"][0].update(
+            vector=[1, 0, 0, 0, 0, 0]))),
         ("check", _mistyped(D1_DOC, lambda d: d.update(edges=5))),
         ("check", _mistyped(D1_DOC, lambda d: d["edges"][0].update(a=["u"]))),
     ],
-    ids=["ray-entry", "fan-dimension", "cone-ray", "edges", "edge-endpoint"],
+    ids=["ray-entry", "fan-dimension", "cone-ray", "repeated-ray-label",
+         "repeated-cone-reversed", "repeated-cone", "short-ray-vector", "long-ray-vector",
+         "edges", "edge-endpoint"],
 )
 def test_cli_rejects_mistyped_documents(command, doc, tmp_path, capsys):
     path = tmp_path / "doc.json"

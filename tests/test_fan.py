@@ -237,13 +237,13 @@ def test_balancing_golden(d1_fan, s0):
     assert check_balancing(splice_fan(SpliceDiagram.star([2, 4, 3])))
 
 
-def test_balancing_detects_perturbation(d1_fan, d1):
+def test_balancing_detects_perturbation(d1_fan):
     for k in range(len(d1_fan.cones)):
         cones = [
             Cone2(c.rays, c.multiplicity + 1 if i == k else c.multiplicity)
             for i, c in enumerate(d1_fan.cones)
         ]
-        assert not check_balancing(SpliceFan(d1, d1_fan.rays, cones))
+        assert not check_balancing(SpliceFan(d1_fan.rays, cones))
 
 
 # -- smoothness smoke --------------------------------------------------------------

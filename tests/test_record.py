@@ -11,7 +11,6 @@ import importlib
 import pytest
 
 from splicefan import (
-    FanInput,
     TruncationContext,
     binomial_reduce,
     build_system,
@@ -82,7 +81,6 @@ def instances(d1, d1_fan):
         membership(d1_system, edge, d1_fan).cell,
         TruncationContext(leaves=frozenset({"l1", "l3"})),
         smoothness_smoke(d1_system, d1.node_weight_vector("u"), samples=2, seed=8),
-        FanInput.from_fan(d1_fan),
     ]
 
 
@@ -93,8 +91,8 @@ def hash_or_error(value):
         return str(exc)
 
 
-def test_the_five_modules_define_nineteen_records():
-    assert len(record_classes()) == 19
+def test_the_five_modules_define_eighteen_records():
+    assert len(record_classes()) == 18
 
 
 def test_every_record_class_has_a_real_instance(instances):

@@ -3,10 +3,12 @@
 import pytest
 
 from splicefan import (
-    FanInput,
+    Cone2,
     NonCoprimeFan,
     NotRealizable,
+    Ray,
     SpliceDiagram,
+    SpliceFan,
     diagrams_isomorphic,
     recover,
     recover_star,
@@ -41,7 +43,7 @@ def test_recover_star_rejects_bad_input():
 
 
 def test_recover_worked_example(d1, d1_fan):
-    recovered = recover(FanInput.from_fan(d1_fan))
+    recovered = recover(d1_fan)
     assert diagrams_isomorphic(d1, recovered)
     # the documented intermediate reads
     node_u = next(v for v in recovered.nodes if recovered.linking_number(v, "l1") == 147)
@@ -55,18 +57,76 @@ def test_recover_worked_example(d1, d1_fan):
 
 
 def test_recover_refuses_multiplicity(d1_fan):
-    base = FanInput.from_fan(d1_fan)
-    pair = next(iter(base.cones))
-    cones = dict(base.cones)
-    cones[pair] = 4
+    cones = [Cone2(d1_fan.cones[0].rays, 4), *d1_fan.cones[1:]]
     with pytest.raises(NonCoprimeFan):
-        recover(FanInput(n=base.n, rays=base.rays, cones=cones))
+        recover(SpliceFan(d1_fan.rays, cones))
 
 
 def test_recover_refuses_non_coprime_fan():
     fan = splice_fan(SpliceDiagram.star([2, 4, 3]))
     with pytest.raises(NonCoprimeFan):
-        recover(FanInput.from_fan(fan))
+        recover(fan)
+
+
+D1_RAYS = {
+    **{f"l{k + 1}": tuple(int(i == k) for i in range(5)) for k in range(5)},
+    "u": (147, 98, 60, 84, 210),
+    "v": (210, 140, 110, 154, 385),
+}
+D1_CONES = (("u", "l1"), ("u", "l2"), ("u", "v"), ("v", "l3"), ("v", "l4"), ("v", "l5"))
+
+
+def _fan(rays, cones=D1_CONES):
+    """A hand-built fan from label -> vector (None drops the ray) and label pairs."""
+    return SpliceFan(
+        [Ray(label, vec) for label, vec in rays.items() if vec is not None],
+        [Cone2(pair, 1) for pair in cones],
+    )
+
+
+def _d1(**changed):
+    return _fan({**D1_RAYS, **changed})
+
+
+def _bridge(a, b):
+    """The worked example's cones with the edge [u, v] replaced by [a, b]."""
+    return _fan(D1_RAYS, D1_CONES[:2] + ((a, b),) + D1_CONES[3:])
+
+
+UNIT_RAYS = "unit rays do not give every coordinate exactly once"
+NOT_NON_NEGATIVE = "ray 'u' is not a nonzero non-negative vector"
+
+
+@pytest.mark.parametrize("fan, message", [
+    pytest.param(SpliceFan([], []), "the fan has no node ray", id="empty"),
+    pytest.param(_d1(l5=None), UNIT_RAYS, id="missing-unit"),
+    pytest.param(_fan({**D1_RAYS, "l6": (1, 0, 0, 0, 0)}, D1_CONES + (("u", "l6"),)),
+                 UNIT_RAYS, id="duplicated-unit"),
+    pytest.param(SpliceFan([Ray("u", (1, 1)), Ray("u", (1, 2)), Ray("l1", (1, 0)),
+                            Ray("l2", (0, 1))], []),
+                 "ray labels repeat", id="repeated-label"),
+    pytest.param(_d1(v=(210, 140, 110, 154)), "ray vectors have inconsistent lengths",
+                 id="inconsistent-lengths"),
+    pytest.param(_d1(u=(0, 0, 0, 0, 0)), NOT_NON_NEGATIVE, id="zero"),
+    pytest.param(_d1(u=(147, -98, 60, 84, 210)), NOT_NON_NEGATIVE, id="negative"),
+    pytest.param(_d1(u=(294, 196, 120, 168, 420)), "ray 'u' is not primitive",
+                 id="non-primitive"),
+    pytest.param(_fan(D1_RAYS, D1_CONES[1:]), "cone count does not match a tree",
+                 id="cone-count"),
+    pytest.param(_bridge("u", "w"), "cone ('u', 'w') uses an unknown ray", id="unknown-ray"),
+    pytest.param(_bridge("l1", "l2"), "fan link is not connected", id="disconnected"),
+    pytest.param(_bridge("l2", "v"), "unit ray 'l2' does not lie on exactly one cone",
+                 id="unit-ray-on-two-cones"),
+    pytest.param(_fan({"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1)},
+                      (("a", "b"), ("b", "c"))),
+                 "the fan has no node ray", id="no-node-ray"),
+    pytest.param(_d1(u=(0, 3, 1, 1, 1), v=(1, 1, 2, 3, 5)),
+                 "node ray 'u' is not strictly positive", id="zero-entry-at-node"),
+])
+def test_recover_refuses_each_malformed_fan(fan, message):
+    with pytest.raises(NotRealizable) as info:
+        recover(fan)
+    assert type(info.value) is NotRealizable and str(info.value) == message
 
 
 def test_roundtrip_golden(d1, s0):
@@ -117,10 +177,10 @@ def test_prune_solve_identity(pool_coprime):
 def test_distinct_diagrams_have_distinct_fans(pool_coprime):
     seen = {}
     for d in pool_coprime[:40]:
-        fan = FanInput.from_fan(splice_fan(d))
+        fan = splice_fan(d)
         key = (
-            tuple(sorted((k, v) for k, v in fan.rays.items())),
-            tuple(sorted((tuple(sorted(p)), m) for p, m in fan.cones.items())),
+            tuple(sorted((r.label, r.vector) for r in fan.rays)),
+            tuple(sorted((tuple(sorted(c.rays)), c.multiplicity) for c in fan.cones)),
         )
         if key in seen:
             assert diagrams_isomorphic(seen[key], d)
