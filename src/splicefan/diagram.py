@@ -83,6 +83,7 @@ class SpliceDiagram:
         }
         self._linking = None
         self._reduced = None
+        self._conditions = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -469,6 +470,15 @@ class ConditionReport(Record):
 
 
 def check_conditions(diagram: SpliceDiagram) -> ConditionReport:
+    """The diagram's condition report, computed on the first call and kept
+    on the diagram, as its linking table is."""
+    report = diagram._conditions
+    if report is None:
+        report = diagram._conditions = _condition_report(diagram)
+    return report
+
+
+def _condition_report(diagram):
     det_ok = all(edge_determinant(diagram, e) > 0 for e in diagram.internal_edges())
     admissible = _admissible_coweights(diagram)
     coprime_ok = True

@@ -128,7 +128,11 @@ def binomial_reduce(ecs: EndCurveSystem) -> BinomialSystem:
 # ---------------------------------------------------------------------------
 
 def _reduce_columns(mat, kernels):
-    """Shrink each column of an integer matrix by integer kernel shifts."""
+    """Shrink each column of an integer matrix by integer kernel shifts.
+
+    The shift is guessed in floating point; a column too large for a float
+    guess raises SolveFailed.
+    """
     width = len(mat)
     if not width:
         return
@@ -138,7 +142,10 @@ def _reduce_columns(mat, kernels):
         if weight == 0:
             continue
         for j in range(n_cols):
-            guess = -round(sum(mat[k][j] * kernel[k] for k in range(width)) / weight)
+            try:
+                guess = -round(sum(mat[k][j] * kernel[k] for k in range(width)) / weight)
+            except OverflowError:
+                raise SolveFailed("kernel shift too large for a floating-point guess") from None
             best, best_cost = 0, None
             for t in range(guess - 2, guess + 3):
                 cost = sum(abs(mat[k][j] + t * kernel[k]) for k in range(width))

@@ -7,7 +7,7 @@ ever rounds.  Matrices are lists/tuples of row tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def gcd_list(values) -> int:
@@ -55,37 +55,51 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination
+# Fraction-free elimination
 # ---------------------------------------------------------------------------
 
+def _integer_row(row):
+    """The row times the lcm of its denominators: integers, same row space."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    row = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def rref(rows):
-    """Reduced row echelon form over Fraction.  Returns (rref rows, pivot cols)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form of a rational matrix.  Returns (rref rows,
+    pivot cols), the rows as lists of Fractions.
+
+    Fraction-free (Bareiss) Gauss-Jordan: each row is scaled once to
+    integers, and each step replaces every other row by
+    (pivot * row - row[c] * pivot row) / previous pivot, a division that is
+    exact because every entry is a minor of the scaled matrix.  Afterwards
+    every pivot equals the last one, which divides the returned rows.
+    """
+    mat = [_integer_row(row) for row in rows]
     n_rows = len(mat)
     n_cols = len(mat[0]) if mat else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(r, n_rows) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        top = mat[r]
+        p = top[c]
         for i in range(n_rows):
-            if i != r and mat[i][c] != 0:
+            if i != r:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == n_rows:
             break
-    return mat[:r], pivots
-
-
-def rank(rows) -> int:
-    reduced, _ = rref(rows)
-    return len(reduced)
+    return [[Fraction(x, prev) for x in row] for row in mat[:r]], pivots
 
 
 def kernel_basis(rows, width: int):
@@ -115,25 +129,6 @@ def nullspace_one(rows, width: int):
     if len(basis) != 1:
         raise ValueError("expected a one-dimensional kernel")
     return basis[0]
-
-
-def solve_exact(rows, rhs):
-    """Solve rows * x = rhs exactly; None when inconsistent.
-
-    The matrix must have full column rank, so the solution is unique when
-    it exists.
-    """
-    width = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    if width in pivots:
-        return None
-    if len(pivots) != width:
-        raise ValueError("matrix does not have full column rank")
-    sol = [Fraction(0)] * width
-    for row, p in zip(reduced, pivots):
-        sol[p] = row[-1]
-    return tuple(sol)
 
 
 def lead_index(row):

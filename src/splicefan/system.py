@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .diagram import SpliceDiagram, check_conditions
 from .errors import ConditionViolation, HammViolation, TailViolation
@@ -189,10 +189,12 @@ class CoefficientMatrix(Record):
     def kernel(self):
         """``exact.kernel_basis`` of the transposed matrix: a basis of the
         values {y : sum_j y_j * rows[j] = 0} of the star monomials.  Computed
-        once, on first read; under Hamm it spans a plane."""
+        once, on first read, and once per valency for the shared Vandermonde
+        rows of ``default_coefficients``; under Hamm it spans a plane."""
         rows = self.rows
-        transposed = [[row[i] for row in rows] for i in range(self.n_equations)]
-        return kernel_basis(transposed, len(rows))
+        if rows is _vandermonde_rows(len(rows)):
+            return _vandermonde_kernel(len(rows))
+        return _transposed_kernel(rows)
 
     def plane_minor(self, p, q):
         """The kernel plane's 2x2 minor at star positions p and q."""
@@ -219,13 +221,27 @@ def check_hamm(matrix: CoefficientMatrix) -> bool:
 
 def default_coefficients(diagram: SpliceDiagram, v) -> CoefficientMatrix:
     """Vandermonde rows (j^0, j^1, ...) for edge index j; every minor is a
-    Vandermonde determinant of distinct positive integers, hence nonzero."""
-    valency = diagram.valency(v)
-    rows = tuple(
+    Vandermonde determinant of distinct positive integers, hence nonzero.
+    Nodes of one valency share one rows tuple."""
+    return CoefficientMatrix(node=v, rows=_vandermonde_rows(diagram.valency(v)))
+
+
+@cache
+def _vandermonde_rows(valency):
+    return tuple(
         tuple(Fraction(j + 1) ** i for i in range(valency - 2))
         for j in range(valency)
     )
-    return CoefficientMatrix(node=v, rows=rows)
+
+
+@cache
+def _vandermonde_kernel(valency):
+    return _transposed_kernel(_vandermonde_rows(valency))
+
+
+def _transposed_kernel(rows):
+    width = len(rows[0]) if rows else 0
+    return kernel_basis([[row[i] for row in rows] for i in range(width)], len(rows))
 
 
 def random_coefficients(diagram: SpliceDiagram, v, rng) -> CoefficientMatrix:

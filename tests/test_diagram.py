@@ -24,7 +24,7 @@ from splicefan import (
     validate,
 )
 from splicefan import diagram as diagram_module
-from splicefan.documents import diagram_from_doc
+from splicefan.documents import diagram_from_doc, diagram_to_doc
 
 
 def test_worked_example_is_valid(d1):
@@ -173,6 +173,42 @@ def test_semigroup_search_leaves_no_cyclic_garbage():
         assert sum(a * feasible.reduced_linking("n4", leaf)
                    for leaf, a in coweight.coeffs.items()) == feasible.weight("n4", "n3")
         assert semigroup_decompose(infeasible, "u", ("u", "v")) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_condition_report_is_kept_on_its_diagram(monkeypatch):
+    d = random_diagram(9, 3, 1)
+    fresh = diagram_from_doc(diagram_to_doc(d))
+    calls = []
+    search = diagram_module.semigroup_decompose
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(diagram_module, "semigroup_decompose", counted)
+    first = check_conditions(fresh)
+    searched = len(calls)
+    assert searched == sum(fresh.valency(v) for v in fresh.nodes)
+    assert check_conditions(fresh) is first
+    assert len(calls) == searched
+    # the generator's own check is kept on the diagram it hands out
+    assert check_conditions(d) == first and len(calls) == searched
+
+
+def test_kept_condition_report_leaves_no_cyclic_garbage():
+    # the report is kept on the diagram; it must not refer back to it, or
+    # every checked diagram would wait for the cyclic collector
+    doc = diagram_to_doc(random_diagram(12, 4, 1))
+    gc.collect()
+    gc.disable()
+    try:
+        d = diagram_from_doc(doc)
+        report = check_conditions(d)
+        assert report.all() and check_conditions(d) is report
+        del d, report
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -4,11 +4,20 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import worked_coefficients
-from splicefan import DocumentError, Polynomial, build_system, check_conditions, cli
+from splicefan import (
+    DocumentError,
+    Polynomial,
+    build_system,
+    check_conditions,
+    cli,
+    random_diagram,
+)
+from splicefan import diagram as diagram_module
 from splicefan.documents import (
     diagram_from_doc,
     diagram_to_doc,
@@ -264,6 +273,46 @@ def test_cli_roundtrip_checks_conditions_once(d1_path, monkeypatch, capsys):
     assert cli.main(["roundtrip", d1_path]) == 0
     assert json.loads(capsys.readouterr().out)["payload"] == {"roundtrip": True}
     assert len(calls) == 1
+
+
+def test_cli_system_searches_each_edge_weight_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "r9.json"
+    path.write_text(json.dumps(diagram_to_doc(random_diagram(9, 3, 1))))
+    calls = []
+    search = diagram_module.semigroup_decompose
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(diagram_module, "semigroup_decompose", counted)
+    assert cli.main(["system", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    # one search per (node, neighbour): the loader's check and build_system's
+    # share the report kept on the diagram
+    assert len(calls) == 13
+
+
+DIAGRAM_40 = Path(__file__).with_name("data") / "random_40_14_seed0.json"
+
+
+@pytest.mark.parametrize("leaf", ["l1", "l2", "l3", "l4", "l5", "l6"])
+def test_cli_endcurve_past_the_ladder_reports_instead_of_crashing(leaf):
+    # random --leaves 40 --nodes 14 --seed 0 --coprime; its end-curves have
+    # kernel shifts too large for the floating-point guess
+    proc = subprocess.run(
+        [sys.executable, "-m", "splicefan.cli", "endcurve", str(DIAGRAM_40), "--root", leaf],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode in (0, 1)
+    report = json.loads(proc.stdout)
+    if proc.returncode == 1:
+        assert report["status"] == "error"
+        assert report["payload"]["error"] == "SolveFailed"
+    else:
+        assert report["status"] == "ok"
 
 
 def test_cli_system_and_initial(d1_path):

@@ -26,6 +26,7 @@ from splicefan import (
     validate_tail,
     w_weight,
 )
+from splicefan.exact import kernel_basis
 
 F = Fraction
 
@@ -40,6 +41,22 @@ def test_default_coefficients_are_vandermonde(d1):
     cv = default_coefficients(d1, "v")
     assert cv.rows == ((F(1), F(1)), (F(1), F(2)), (F(1), F(3)), (F(1), F(4)))
     assert check_hamm(cu) and check_hamm(cv)
+
+
+@pytest.mark.parametrize("valency", range(3, 16))
+def test_vandermonde_plane_is_shared_per_valency(valency):
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    star = SpliceDiagram.star(primes[:valency])
+    first, second = (default_coefficients(star, "n1") for _ in range(2))
+    assert first.rows is second.rows
+    assert first.kernel is second.kernel
+    rows = first.rows
+    fresh = kernel_basis([[row[i] for row in rows] for i in range(valency - 2)], valency)
+    assert first.kernel == fresh
+    # equal rows in a tuple of their own are eliminated afresh, to the same plane
+    copy = CoefficientMatrix("n1", tuple(tuple(row) for row in rows))
+    assert copy.rows is not rows and copy.kernel is not first.kernel
+    assert copy.kernel == fresh
 
 
 def test_check_hamm_worked_example_matrix():
