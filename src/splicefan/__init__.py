@@ -83,13 +83,9 @@ from .system import (
     build_system,
     check_hamm,
     default_coefficients,
-    evaluate,
-    initial_form,
     predicted_initial_form,
     random_coefficients,
-    tau_truncate,
     validate_tail,
-    w_weight,
 )
 
 __version__ = "0.1.0"

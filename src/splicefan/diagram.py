@@ -9,7 +9,7 @@ vector produced downstream.  All arithmetic is exact.
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, prod
 
 from .errors import GenerationExhausted
 from .record import Record, hidden
@@ -575,8 +575,12 @@ def random_diagram(n_leaves: int, n_nodes: int, seed, require_coprime: bool = Tr
 
     Strategy: random node tree, leaves distributed to reach valency three,
     leaf weights drawn from a shuffled coprime pool, internal half-edge
-    weights repaired to random semigroup elements, rejection loop on the
-    edge determinant and coprimality checks.
+    weights drawn as random semigroup elements.  An attempt whose weights
+    fail an edge determinant, or leave a node without a coprime weight,
+    is rejected before a diagram is built, and the next attempt goes on
+    from the same random stream; a built diagram is validated and its
+    conditions checked before it is handed out.  Shuffles draw exactly what
+    ``random.Random.shuffle`` draws, so a seed always gives the same diagram.
     """
     if n_leaves < 3 or n_nodes < 1 or n_nodes > n_leaves - 2:
         raise GenerationExhausted(
@@ -594,10 +598,9 @@ def random_diagram(n_leaves: int, n_nodes: int, seed, require_coprime: bool = Tr
         d = _attempt(rng, n_leaves, n_nodes, require_coprime)
         if d is None:
             continue
-        # cheap rejections first; the semigroup condition holds by construction
-        # but is re-verified before handing the diagram out
-        if any(edge_determinant(d, e) <= 0 for e in d.internal_edges()):
-            continue
+        # the semigroup condition holds by construction and the attempt has
+        # checked the edge determinants; both are re-verified before the
+        # diagram is handed out
         if validate(d):
             continue
         report = check_conditions(d)
@@ -608,6 +611,22 @@ def random_diagram(n_leaves: int, n_nodes: int, seed, require_coprime: bool = Tr
     raise GenerationExhausted(
         f"retry cap hit for {n_leaves} leaves, {n_nodes} nodes, seed {seed!r}"
     )
+
+
+def _shuffle(rng, items):
+    """Shuffle the list in place with exactly the draws of ``rng.shuffle``.
+
+    For i from the last index down to 1, j is ``rng.getrandbits(k)`` with
+    k = (i + 1).bit_length(), drawn again until j <= i, and items i and j
+    swap: CPython's Fisher-Yates shuffle, without its per-draw method call.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 def _attempt(rng, n_leaves, n_nodes, require_coprime):
@@ -625,7 +644,7 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
     if extra < 0:
         return None
     slots.extend(rng.choice(nodes) for _ in range(extra))
-    rng.shuffle(slots)
+    _shuffle(rng, slots)
     leaves = [f"l{i + 1}" for i in range(n_leaves)]
     leaf_edges = list(zip(slots, leaves))
 
@@ -644,7 +663,7 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
 
     def draw_leaf_weight(v):
         pool = list(WEIGHT_POOL)
-        rng.shuffle(pool)
+        _shuffle(rng, pool)
         for w in pool:
             if compatible(w, v):
                 return w
@@ -695,6 +714,14 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
             return None
         weights[(v, u)] = value
         used[v].append(value)
+
+    # every weight is drawn; an internal edge [a, b] whose determinant
+    # w(a,b)*w(b,a) - (a's weights off b)*(b's weights off a) is not positive
+    # rejects the attempt before a diagram is built
+    for a, b in node_edges:
+        w_ab, w_ba = weights[(a, b)], weights[(b, a)]
+        if w_ab * w_ba <= prod(used[a]) // w_ab * (prod(used[b]) // w_ba):
+            return None
 
     edges = [(v, leaf, weights[(v, leaf)], None) for v, leaf in leaf_edges]
     edges += [(a, b, weights[(a, b)], weights[(b, a)]) for a, b in node_edges]

@@ -150,23 +150,6 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-def w_weight(poly: Polynomial, w):
-    return poly.weight(w)
-
-
-def initial_form(poly: Polynomial, w) -> Polynomial:
-    return poly.initial_form(w)
-
-
-def tau_truncate(poly: Polynomial, diagram: SpliceDiagram, leaves) -> Polynomial:
-    """Set the variables of the given leaves to zero."""
-    return poly.truncate(diagram.leaf_index(l) for l in leaves)
-
-
-def evaluate(poly: Polynomial, point):
-    return poly.evaluate(point)
-
-
 # ---------------------------------------------------------------------------
 # Coefficient matrices and the Hamm condition
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ from splicefan import (
     splice_fan,
 )
 
+# the benchmark ladder's (leaves, nodes) shapes, each with seeds 0, 1, 2
+LADDER = ((6, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 1), (8, 2), (8, 4),
+          (9, 1), (9, 3), (10, 1), (10, 2), (10, 5), (11, 1), (11, 3),
+          (12, 1), (12, 2), (12, 4))
+
 
 def make_d1():
     """Two nodes; leaf weights 2,3 at u and 7,5,2 at v; edge weights 49/11."""

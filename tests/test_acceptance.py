@@ -31,7 +31,6 @@ from splicefan import (
     certificate_search,
     check_balancing,
     end_curve_system,
-    initial_form,
     locate,
     monomial_in_span_oracle,
     parameterize,
@@ -61,8 +60,8 @@ def test_criterion_1_golden_example(d1, d1_system):
     wu = d1.node_weight_vector("u")
     eqs = {(e.node, e.index): e.minimal for e in d1_system.equations}
     drop = Polynomial.monomial((1, 4, 0, 0, 0))
-    assert initial_form(eqs[("v", 1)], wu) == eqs[("v", 1)] - drop
-    assert initial_form(eqs[("v", 2)], wu) == eqs[("v", 2)] - drop.scale(33)
+    assert eqs[("v", 1)].initial_form(wu) == eqs[("v", 1)] - drop
+    assert eqs[("v", 2)].initial_form(wu) == eqs[("v", 2)] - drop.scale(33)
     print("criterion 1 (golden example): PASS")
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import LADDER
 from splicefan import (
     GenerationExhausted,
     SpliceDiagram,
@@ -76,12 +77,6 @@ def test_node_weight_vectors(d1):
 
 def test_edge_determinant(d1):
     assert edge_determinant(d1, ("u", "v")) == 49 * 11 - 420 == 119
-
-
-# the benchmark ladder's (leaves, nodes) shapes, each with seeds 0, 1, 2
-LADDER = ((6, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 1), (8, 2), (8, 4),
-          (9, 1), (9, 3), (10, 1), (10, 2), (10, 5), (11, 1), (11, 3),
-          (12, 1), (12, 2), (12, 4))
 
 
 def test_edge_determinant_reads_the_linking_number():

@@ -1,0 +1,101 @@
+"""The random generator's output is pinned: every seed gives the same diagram.
+
+The benchmark's diagrams and the golden CLI corpus depend on ``random_diagram``
+drawing the same random stream, so its output is checked against a recorded
+fixture, ``data/random_diagrams.json``.  It holds every benchmark member shape
+with both coprime flags, every ladder shape, and three shapes past the ladder.
+
+Regenerate the fixture only when a change of output is intended:
+
+    PYTHONPATH=src python tests/test_generation.py
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from conftest import LADDER
+from splicefan import cli, edge_determinant, random_diagram
+from splicefan import diagram as diagram_module
+from splicefan.documents import diagram_to_doc
+
+DATA = Path(__file__).with_name("data")
+FIXTURE = DATA / "random_diagrams.json"
+DIAGRAM_40 = DATA / "random_40_14_seed0.json"
+
+# the benchmark's member shapes: 4 to 8 leaves, 1 to 3 nodes
+MEMBER_SHAPES = tuple((n, k) for n in range(4, 9) for k in range(1, min(3, n - 2) + 1))
+LARGE = ((16, 7), (24, 8), (32, 12))
+
+
+def cases():
+    """(leaves, nodes, seed, coprime) of every recorded diagram."""
+    out = [(n, k, s, c) for n, k in MEMBER_SHAPES for c in (True, False) for s in (0, 1, 2)]
+    out += [(n, k, s, True) for n, k in LADDER for s in (0, 1, 2)]
+    out += [(n, k, 0, True) for n, k in LARGE]
+    return out
+
+
+def generate():
+    return [
+        {"leaves": n, "nodes": k, "seed": s, "coprime": c,
+         "diagram": diagram_to_doc(random_diagram(n, k, s, require_coprime=c))}
+        for n, k, s, c in cases()
+    ]
+
+
+def test_generator_output_matches_the_fixture():
+    recorded = json.loads(FIXTURE.read_text())
+    assert [(e["leaves"], e["nodes"], e["seed"], e["coprime"]) for e in recorded] == cases()
+    for entry, fresh in zip(recorded, generate()):
+        assert fresh == entry
+
+
+def test_cli_random_40_leaves_matches_the_checked_in_document(capsys):
+    code = cli.main(["random", "--leaves", "40", "--nodes", "14", "--seed", "0", "--coprime"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["payload"] == json.loads(DIAGRAM_40.read_text())
+
+
+@pytest.mark.parametrize("length", range(41))
+def test_shuffle_draws_what_random_shuffle_draws(length):
+    for seed in range(2000):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        a, b = list(range(length)), list(range(length))
+        diagram_module._shuffle(ours, a)
+        theirs.shuffle(b)
+        assert a == b
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_an_attempt_failing_the_edge_determinant_builds_no_diagram(monkeypatch):
+    built = []
+
+    class Counted(diagram_module.SpliceDiagram):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    attempts = []
+    attempt = diagram_module._attempt
+    monkeypatch.setattr(diagram_module, "SpliceDiagram", Counted)
+    monkeypatch.setattr(
+        diagram_module, "_attempt", lambda *args: attempts.append(args) or attempt(*args)
+    )
+    shapes = [(n, k, s, c) for n, k in LADDER for s in (0, 1) for c in (True, False)]
+    for n, k, s, c in shapes:
+        random_diagram(n, k, s, require_coprime=c)
+    # many attempts fail the edge determinant, yet every diagram built passes
+    # it and is the one handed out
+    assert len(attempts) > 2 * len(shapes)
+    assert len(built) == len(shapes)
+    for d in built:
+        assert all(edge_determinant(d, e) > 0 for e in d.internal_edges())
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(
+        "[\n" + ",\n".join(json.dumps(entry) for entry in generate()) + "\n]\n"
+    )

@@ -15,13 +15,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LADDER
 from splicefan import SpliceDiagram, check_conditions, random_diagram, semigroup_decompose
 from splicefan.documents import diagram_from_doc
 
-# the benchmark ladder's (leaves, nodes) shapes, each with seeds 0, 1, 2
-LADDER = ((6, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 1), (8, 2), (8, 4),
-          (9, 1), (9, 3), (10, 1), (10, 2), (10, 5), (11, 1), (11, 3),
-          (12, 1), (12, 2), (12, 4))
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
 

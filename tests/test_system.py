@@ -19,12 +19,9 @@ from splicefan import (
     build_system,
     check_hamm,
     default_coefficients,
-    initial_form,
     predicted_initial_form,
     random_coefficients,
-    tau_truncate,
     validate_tail,
-    w_weight,
 )
 from splicefan.exact import kernel_basis
 
@@ -273,9 +270,9 @@ def test_tail_implication(pool_small):
 
 def test_w_weight_and_zero_convention():
     f = poly(((2, 0), 1), ((0, 3), 1))
-    assert w_weight(f, (1, 1)) == 2
-    assert w_weight(Polynomial.zero(), (1, 1)) == float("inf")
-    assert initial_form(Polynomial.zero(), (1, 1)) == Polynomial.zero()
+    assert f.weight((1, 1)) == 2
+    assert Polynomial.zero().weight((1, 1)) == float("inf")
+    assert Polynomial.zero().initial_form((1, 1)) == Polynomial.zero()
 
 
 def test_initial_form_golden(d1_system, d1):
@@ -283,18 +280,18 @@ def test_initial_form_golden(d1_system, d1):
     wv = d1.node_weight_vector("v")
     fu1, fv1, fv2 = [e.minimal for e in d1_system.equations]
     drop = Polynomial.monomial((1, 4, 0, 0, 0))
-    assert initial_form(fv1, wu) == fv1 - drop
-    assert initial_form(fv2, wu) == fv2 - drop.scale(33)
-    assert initial_form(fu1, wu) == fu1
+    assert fv1.initial_form(wu) == fv1 - drop
+    assert fv2.initial_form(wu) == fv2 - drop.scale(33)
+    assert fu1.initial_form(wu) == fu1
     # at the other node the admissible monomial toward it is dropped
-    assert initial_form(fu1, wv) == poly(((2, 0, 0, 0, 0), 1), ((0, 3, 0, 0, 0), -2))
+    assert fu1.initial_form(wv) == poly(((2, 0, 0, 0, 0), 1), ((0, 3, 0, 0, 0), -2))
 
 
 def test_initial_form_idempotent(d1_system, d1):
     w = (3, 1, 4, 1, 5)
     for eq in d1_system.equations:
-        once = initial_form(eq.minimal, w)
-        assert initial_form(once, w) == once
+        once = eq.minimal.initial_form(w)
+        assert once.initial_form(w) == once
 
 
 def test_w_weight_is_a_valuation():
@@ -309,7 +306,7 @@ def test_w_weight_is_a_valuation():
         if not f or not g:
             continue
         w = tuple(rng.randint(1, 7) for _ in range(3))
-        assert w_weight(f * g, w) == w_weight(f, w) + w_weight(g, w)
+        assert (f * g).weight(w) == f.weight(w) + g.weight(w)
 
 
 def test_predicted_initial_forms_match(pool_small):
@@ -320,7 +317,7 @@ def test_predicted_initial_forms_match(pool_small):
             wu = d.node_weight_vector(u)
             for eq in system.equations:
                 predicted = predicted_initial_form(system, eq.node, eq.index, u)
-                assert initial_form(eq.full, wu) == predicted
+                assert eq.full.initial_form(wu) == predicted
 
 
 def test_predicted_initial_forms_survive_tails(pool_small):
@@ -343,7 +340,7 @@ def test_predicted_initial_forms_survive_tails(pool_small):
         for u in d.nodes:
             wu = d.node_weight_vector(u)
             for eq in system.equations:
-                assert initial_form(eq.full, wu) == predicted_initial_form(
+                assert eq.full.initial_form(wu) == predicted_initial_form(
                     system, eq.node, eq.index, u
                 )
         checked += 1
@@ -361,21 +358,21 @@ def test_predicted_initial_form_golden(d1_system):
 
 def test_tau_truncate(d1_system, d1):
     fu1 = d1_system.equations[0].minimal
-    assert tau_truncate(fu1, d1, ["l4"]) == poly(((2, 0, 0, 0, 0), 1), ((0, 3, 0, 0, 0), -2))
-    assert tau_truncate(fu1, d1, ["l1"]) == poly(((0, 3, 0, 0, 0), -2), ((0, 0, 0, 1, 1), 1))
-    assert tau_truncate(fu1, d1, []) == fu1
+    assert fu1.truncate([d1.leaf_index("l4")]) == poly(((2, 0, 0, 0, 0), 1), ((0, 3, 0, 0, 0), -2))
+    assert fu1.truncate([d1.leaf_index("l1")]) == poly(((0, 3, 0, 0, 0), -2), ((0, 0, 0, 1, 1), 1))
+    assert fu1.truncate([]) == fu1
 
 
 def test_truncation_commutes_when_minimum_survives(d1_system, d1):
     w = (3, 1, 4, 1, 5)
     for eq in d1_system.equations:
         for leaf in d1.leaves:
-            inside = initial_form(eq.minimal, w)
+            inside = eq.minimal.initial_form(w)
             if any(m[d1.leaf_index(leaf)] for m in inside.support()):
                 continue
-            truncated = tau_truncate(eq.minimal, d1, [leaf])
+            truncated = eq.minimal.truncate([d1.leaf_index(leaf)])
             if truncated:
-                assert tau_truncate(inside, d1, [leaf]) == initial_form(truncated, w)
+                assert inside.truncate([d1.leaf_index(leaf)]) == truncated.initial_form(w)
 
 
 def test_evaluate(d1_system):
