@@ -11,12 +11,8 @@ from .diagram import (
     ConditionReport,
     SpliceDiagram,
     Violation,
-    branches,
     check_conditions,
     edge_determinant,
-    end_nodes,
-    is_star_full,
-    prune_end_node,
     random_diagram,
     semigroup_decompose,
     validate,

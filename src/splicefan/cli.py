@@ -170,6 +170,10 @@ def _sample_queries(diagram, fan, count, seed):
 def _cmd_member(args):
     if args.samples < 0:
         raise _Refusal("error", {"message": "--samples must not be negative"}, EXIT_PARSE)
+    if args.w is not None and args.w_file is not None:
+        raise _Refusal(
+            "error", {"message": "--w and --w-file cannot be given together"}, EXIT_PARSE
+        )
     diagram, _ = _load_checked_diagram(args.diagram)
     system = _default_system(diagram, args.seed)
     fan = splice_fan(diagram)

@@ -127,10 +127,6 @@ class SpliceDiagram:
             out *= self._weights[(v, u)]
         return out
 
-    def weight_toward(self, v, x) -> int:
-        """Weight at node v on the first edge of the geodesic from v to x."""
-        return self._weights[(v, self.first_step(v, x))]
-
     def first_step(self, v, x):
         return self.geodesic(v, x)[1]
 
@@ -502,68 +498,6 @@ def _admissible_coweights(diagram: SpliceDiagram):
                 return None
             out[(v, u)] = coweight
     return out
-
-
-# ---------------------------------------------------------------------------
-# Subtrees: branches, star-full subtrees, pruning
-# ---------------------------------------------------------------------------
-
-def branches(diagram: SpliceDiagram, v):
-    """Vertex sets of the connected components left after deleting v."""
-    out = []
-    for u in diagram.neighbors(v):
-        comp = {u}
-        stack = [u]
-        while stack:
-            for y in diagram.neighbors(stack.pop()):
-                if y != v and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        out.append(frozenset(comp))
-    return out
-
-
-def _subtree_degree(diagram, subtree, v):
-    return sum(1 for u in diagram.neighbors(v) if u in subtree)
-
-
-def is_star_full(diagram: SpliceDiagram, subtree) -> bool:
-    """True when every internal vertex of the subtree keeps its whole star."""
-    subtree = frozenset(subtree)
-    for v in subtree:
-        if _subtree_degree(diagram, subtree, v) >= 2:
-            if any(u not in subtree for u in diagram.neighbors(v)):
-                return False
-    return True
-
-
-def subtree_nodes(diagram: SpliceDiagram, subtree):
-    """Internal vertices of the subtree (valency >= 2 inside it)."""
-    subtree = frozenset(subtree)
-    return [v for v in subtree if _subtree_degree(diagram, subtree, v) >= 2]
-
-
-def end_nodes(diagram: SpliceDiagram, subtree):
-    """Internal vertices adjacent to exactly one other internal vertex."""
-    internal = set(subtree_nodes(diagram, subtree))
-    out = []
-    for v in internal:
-        node_nbrs = sum(1 for u in diagram.neighbors(v) if u in internal)
-        if node_nbrs == 1:
-            out.append(v)
-    return out
-
-
-def prune_end_node(diagram: SpliceDiagram, subtree, v):
-    """Drop the subtree-leaves hanging at an end-node v; v becomes a leaf."""
-    subtree = frozenset(subtree)
-    if v not in end_nodes(diagram, subtree):
-        raise ValueError(f"{v!r} is not an end-node of the subtree")
-    hanging = {
-        u for u in diagram.neighbors(v)
-        if u in subtree and _subtree_degree(diagram, subtree, u) == 1
-    }
-    return frozenset(subtree - hanging)
 
 
 # ---------------------------------------------------------------------------

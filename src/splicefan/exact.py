@@ -1,7 +1,9 @@
-"""Exact integer and rational linear algebra helpers.
+"""Exact linear algebra: fraction-free elimination and Smith normal form.
 
-Everything in here works over Python ints and fractions.Fraction; nothing
-ever rounds.  Matrices are lists/tuples of row tuples.
+Rational ranks, kernels and spans are read from one elimination, the
+Bareiss ``rref``; the Smith normal form is the integer elimination of the
+end-curve solve.  Everything works over Python ints and fractions.Fraction;
+nothing ever rounds.  Matrices are lists/tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -37,21 +39,6 @@ def primitive(vector):
 
 def dot(w, m):
     return sum(wi * mi for wi, mi in zip(w, m))
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with x*a + y*b == g == gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 # ---------------------------------------------------------------------------
@@ -131,61 +118,12 @@ def nullspace_one(rows, width: int):
     return basis[0]
 
 
-def lead_index(row):
-    return next((i for i, x in enumerate(row) if x), len(row))
-
-
-def reduce_row(row, basis):
-    """Primitive integer remainder of row against an echelon basis."""
-    row = list(row)
-    for b in basis:
-        lead = lead_index(b)
-        if lead < len(row) and row[lead]:
-            p, q = b[lead], row[lead]
-            row = [x * p - y * q for x, y in zip(row, b)]
-    g = gcd_list(row)
-    return [x // g for x in row] if g else row
-
-
-def insert_row(basis, row):
-    """Add row's nonzero remainder to the basis, kept sorted by lead index."""
-    reduced = reduce_row(row, basis)
-    if any(reduced):
-        basis.append(reduced)
-        basis.sort(key=lead_index)
-
-
-def in_int_span(target, rows):
-    basis = []
-    for r in rows:
-        insert_row(basis, r)
-    return not any(reduce_row(target, basis))
-
-
 # ---------------------------------------------------------------------------
-# Integer (unimodular) elimination
+# Smith normal form
 # ---------------------------------------------------------------------------
 
 def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def unimodular_to_unit(vector):
-    """A unimodular U with U @ v = gcd(v) * e1, as a list of rows."""
-    v = list(vector)
-    n = len(v)
-    u = _identity(n)
-    for i in range(1, n):
-        a, b = v[0], v[i]
-        if b == 0:
-            continue
-        g, x, y = xgcd(a, b)
-        # rows 0 and i are combined by an SL2(Z) block
-        r0 = [x * u[0][j] + y * u[i][j] for j in range(n)]
-        ri = [(-b // g) * u[0][j] + (a // g) * u[i][j] for j in range(n)]
-        u[0], u[i] = r0, ri
-        v[0], v[i] = g, 0
-    return u
 
 
 def smith_normal_form(matrix):

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 
 from .diagram import SpliceDiagram
 from .endcurve import torus_components
@@ -24,15 +25,7 @@ from .errors import (
     SpliceError,
     VerificationFailed,
 )
-from .exact import (
-    dot,
-    gcd_list,
-    in_int_span,
-    insert_row,
-    primitive,
-    reduce_row,
-    unimodular_to_unit,
-)
+from .exact import dot, gcd_list, kernel_basis, primitive, rref
 from .record import Record
 from .system import Polynomial, SpliceSystem, combination
 
@@ -351,9 +344,14 @@ def monomial_in_span_oracle(generators, w):
     """Exponent m such that some constant combination of the generators has
     initial form exactly the monomial z^m; None when no such m exists.
 
-    For each candidate monomial the constraint is linear: all other terms of
-    weight <= w(m) must cancel while z^m survives, i.e. the target row must
-    leave the span of the constraint rows.  All eliminations are integral.
+    A combination y reads row_m . y as its coefficient of z^m, where row_m
+    holds z^m's coefficient in each generator.  z^m is the initial form of
+    some combination exactly when row_m leaves the span of the rows of the
+    lighter monomials and of the other monomials of its weight.  Weight
+    groups are taken from the lightest: the lighter rows are kept as an rref
+    basis, the group's rows are stacked below it, and one kernel of the
+    stack's transpose lists its linear dependencies.  A monomial in no
+    dependency is outside the span of the others.
     """
     w = tuple(Fraction(x) for x in w)
     cols = len(generators)
@@ -361,31 +359,25 @@ def monomial_in_span_oracle(generators, w):
     for j, g in enumerate(generators):
         for m, c in g.terms:
             rows.setdefault(m, [Fraction(0)] * cols)[j] += c
-    if not rows:
-        return None
-    scaled = {}
-    for m, row in rows.items():
-        den = 1
-        for c in row:
-            den = den * c.denominator // gcd(den, c.denominator)
-        scaled[m] = tuple(int(c * den) for c in row)
 
-    order = sorted(scaled, key=lambda m: (dot(w, m), [-e for e in m]))
+    order = sorted(rows, key=lambda m: (dot(w, m), [-e for e in m]))
     groups = []
     for m in order:
-        if groups and dot(w, groups[-1][0][0]) == dot(w, m):
-            groups[-1].append((m, scaled[m]))
+        if groups and dot(w, groups[-1][0]) == dot(w, m):
+            groups[-1].append(m)
         else:
-            groups.append([(m, scaled[m])])
+            groups.append([m])
 
     basis = []
     for group in groups:
-        for m, row in group:
-            others = [r for m2, r in group if m2 != m]
-            if not in_int_span(row, basis + [reduce_row(r, basis) for r in others]):
+        if len(basis) == cols:  # the lighter rows span every row left
+            return None
+        stack = basis + [rows[m] for m in group]
+        dependencies = kernel_basis(list(zip(*stack)), len(stack))
+        for k, m in enumerate(group, len(basis)):
+            if not any(dep[k] for dep in dependencies):
                 return m
-        for _, row in group:
-            insert_row(basis, row)
+        basis = rref(stack)[0]
     return None
 
 
@@ -477,24 +469,37 @@ def _is_multiple(w, ray):
 # Balancing
 # ---------------------------------------------------------------------------
 
+def _quotient_content(t, r):
+    """gcd of the 2x2 minors t_i r_j - t_j r_i.  For primitive t this is the
+    content of r's image in Z^n / Zt (Pluecker coordinates, unchanged by a
+    unimodular map taking t to e1); 0 exactly when r is parallel to t."""
+    pairs = combinations(range(len(t)), 2)
+    return gcd(*(t[i] * r[j] - t[j] * r[i] for i, j in pairs))
+
+
 def check_balancing(fan: SpliceFan) -> bool:
-    """At each node ray, the multiplicity-weighted primitive images of the
-    adjacent cones must cancel in the quotient lattice by the ray."""
+    """At each node ray t, the multiplicity-weighted primitive images of the
+    adjacent cones must cancel in the quotient lattice Z^n / Zt: the node is
+    balanced exactly when sum m_c (L / g_c) r_c is parallel to t, where g_c
+    is the content of r_c's image and L the lcm of the g_c."""
     for label in fan.node_labels():
         t = fan.ray_by_label[label].vector
-        u = unimodular_to_unit(t)
-        if [sum(r * x for r, x in zip(row, t)) for row in u] != [1] + [0] * (len(t) - 1):
+        if gcd_list(t) != 1:
             raise VerificationFailed(f"ray {label!r} is not primitive")
-        total = [0] * (len(t) - 1)
+        parts = []
         for cone in fan.cones_at(label):
             other = cone.rays[0] if cone.rays[1] == label else cone.rays[1]
             r = fan.ray_by_label[other].vector
-            image = [sum(c * x for c, x in zip(row, r)) for row in u[1:]]
-            g = gcd_list(image)
+            g = _quotient_content(t, r)
             if g == 0:
                 return False
-            total = [a + cone.multiplicity * b // g for a, b in zip(total, image)]
-        if any(total):
+            parts.append((cone.multiplicity, g, r))
+        common = lcm(*(g for _, g, _ in parts))
+        total = [0] * len(t)
+        for multiplicity, g, r in parts:
+            f = multiplicity * (common // g)
+            total = [a + f * x for a, x in zip(total, r)]
+        if _quotient_content(t, total):
             return False
     return True
 

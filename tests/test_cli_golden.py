@@ -65,6 +65,7 @@ REFUSALS = [
     ["member", "d1.json", "--w", "1,2"],            # 2: wrong length
     ["member", "d1.json", "--w", "1,x,1,1,1"],      # 2: not a rational
     ["member", "d1.json", "--samples", "-1"],       # 2: negative sample count
+    ["member", "d1.json", "--w", "1,1,1,1,1", "--w-file", "ws_d1.txt"],  # 2: two query sources
     ["check", "det.json"],                          # 1: edge determinant
     ["system", "det.json"],                         # 1: edge determinant
     ["member", "d1.json", "--w", "0,1,1,1,1"],      # 1: not strictly positive

@@ -10,14 +10,10 @@ from conftest import LADDER
 from splicefan import (
     GenerationExhausted,
     SpliceDiagram,
-    branches,
     build_system,
     check_balancing,
     check_conditions,
     edge_determinant,
-    end_nodes,
-    is_star_full,
-    prune_end_node,
     random_diagram,
     roundtrip,
     semigroup_decompose,
@@ -245,21 +241,12 @@ def test_coprime_check_fails_on_shared_factor():
 
 def test_geodesic_and_branches(d1):
     assert d1.geodesic("l1", "l5") == ["l1", "u", "v", "l5"]
-    parts = sorted(sorted(b) for b in branches(d1, "u"))
+    # the branches at u are the vertices grouped by their geodesic's first step
+    parts = sorted(
+        sorted(x for x in d1.vertices if x != "u" and d1.first_step("u", x) == b)
+        for b in d1.neighbors("u")
+    )
     assert parts == [["l1"], ["l2"], ["l3", "l4", "l5", "v"]]
-
-
-def test_star_full_and_pruning(d1):
-    whole = frozenset(d1.vertices)
-    assert is_star_full(d1, whole)
-    assert sorted(end_nodes(d1, whole)) == ["u", "v"]
-    pruned = prune_end_node(d1, whole, "u")
-    assert pruned == frozenset({"u", "v", "l3", "l4", "l5"})
-    assert is_star_full(d1, pruned)
-    not_full = frozenset({"u", "v", "l1", "l3"})
-    assert not is_star_full(d1, not_full)
-    with pytest.raises(ValueError):
-        prune_end_node(d1, pruned, "l3")
 
 
 def test_random_diagram_deterministic_and_valid():
@@ -331,7 +318,7 @@ def test_reduced_linking_identity(pool_small):
     for d in pool_small:
         for v in d.nodes:
             for leaf in d.leaves:
-                assert d.linking_number(v, leaf) * d.weight_toward(v, leaf) == (
+                assert d.linking_number(v, leaf) * d.weight(v, d.first_step(v, leaf)) == (
                     d.reduced_linking(v, leaf) * d.total_weight(v)
                 )
 

@@ -339,6 +339,15 @@ def test_cli_member_w_file(d1_path, tmp_path):
     assert [q["result"] for q in payload["queries"]] == ["out", "in"]
 
 
+def test_cli_member_refuses_w_with_w_file(d1_path, tmp_path):
+    path = tmp_path / "queries.txt"
+    path.write_text("1,1,1,1,1\n")
+    code, out = run_cli("member", d1_path, "--w", "1,1,1,1,1", "--w-file", str(path))
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "error"
+    assert "--w-file" in report["payload"]["message"]
+
+
 def _d1_fan_doc():
     return {
         "n": 5,

@@ -4,14 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splicefan import (
     Cone2,
     NoTorusPoint,
     Polynomial,
+    Ray,
     SpliceDiagram,
     SpliceFan,
     TruncationContext,
+    VerificationFailed,
     barycenter,
     boundary_trop,
     certificate_search,
@@ -27,7 +31,7 @@ from splicefan import (
     smoothness_smoke,
     splice_fan,
 )
-from splicefan.exact import rref
+from splicefan.exact import kernel_basis, rref
 from splicefan.fan import _random_kernel_vector
 
 F = Fraction
@@ -199,6 +203,69 @@ def test_oracle_examples(d1_system):
     assert monomial_in_span_oracle([one, other], (1, 1)) == (1, 0)
 
 
+def _witness(generators, w, m):
+    """A combination of the generators whose initial form at w is z^m, or
+    None.  Its coefficient vector y spans the kernel of the constraint rows
+    (every other monomial of weight <= w(m)) and meets z^m's row in 1."""
+    w = tuple(F(x) for x in w)
+    rows = {}
+    for j, g in enumerate(generators):
+        for e, c in g.terms:
+            rows.setdefault(e, [F(0)] * len(generators))[j] += c
+    level = sum(a * b for a, b in zip(w, m))
+    constraints = [
+        row for e, row in rows.items()
+        if e != m and sum(a * b for a, b in zip(w, e)) <= level
+    ]
+    for y in kernel_basis(constraints, len(generators)):
+        hit = sum(a * b for a, b in zip(rows[m], y))
+        if hit:
+            return sum(
+                (g.scale(c / hit) for g, c in zip(generators, y)), Polynomial.zero()
+            )
+    return None
+
+
+def assert_oracle_witnessed(generators, w):
+    """The oracle's monomial is the initial form of a witnessed combination,
+    and when it answers None no monomial of the generators has a witness."""
+    m = monomial_in_span_oracle(generators, w)
+    if m is not None:
+        assert _witness(generators, w, m).initial_form(w) == Polynomial.monomial(m)
+    else:
+        support = {e for g in generators for e in g.support()}
+        assert all(_witness(generators, w, e) is None for e in support)
+
+
+def test_oracle_is_witnessed_on_d1(d1_system, d1):
+    polys = d1_system.polynomials()
+    rng = random.Random(3)
+    ws = [(1, 1, 1, 1, 1)] + [d1.node_weight_vector(v) for v in d1.nodes]
+    ws += [tuple(rng.randint(1, 30) for _ in range(d1.n)) for _ in range(30)]
+    for w in ws:
+        assert_oracle_witnessed(polys, w)
+
+
+_coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+@st.composite
+def _generator_sets(draw):
+    """Small rational polynomial sets and a weight vector with many ties."""
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    polys = st.lists(st.tuples(exponents, _coefficients), min_size=1, max_size=4)
+    generators = [Polynomial(t) for t in draw(st.lists(polys, min_size=1, max_size=4))]
+    w = draw(st.tuples(*[st.sampled_from((1, 2, F(1, 2)))] * n))
+    return generators, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_sets())
+def test_oracle_is_witnessed_property(case):
+    assert_oracle_witnessed(*case)
+
+
 def test_initial_ideal_generators(d1_system, d1):
     gens, monomial_free = initial_ideal_generators(d1_system, d1.node_weight_vector("u"))
     assert monomial_free and len(gens) == 3
@@ -253,6 +320,15 @@ def test_balancing_detects_perturbation(d1_fan):
             for i, c in enumerate(d1_fan.cones)
         ]
         assert not check_balancing(SpliceFan(d1_fan.rays, cones))
+
+
+def test_balancing_refuses_a_non_primitive_node_ray(d1_fan):
+    rays = [
+        Ray(r.label, tuple(2 * x for x in r.vector)) if r.label == "u" else r
+        for r in d1_fan.rays
+    ]
+    with pytest.raises(VerificationFailed):
+        check_balancing(SpliceFan(rays, d1_fan.cones))
 
 
 # -- smoothness smoke --------------------------------------------------------------
