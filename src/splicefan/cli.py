@@ -168,11 +168,17 @@ def _sample_queries(diagram, fan, count, seed):
 
 
 def _cmd_member(args):
-    if args.samples < 0:
+    if args.samples is not None and args.samples < 0:
         raise _Refusal("error", {"message": "--samples must not be negative"}, EXIT_PARSE)
     if args.w is not None and args.w_file is not None:
         raise _Refusal(
             "error", {"message": "--w and --w-file cannot be given together"}, EXIT_PARSE
+        )
+    if args.samples is not None and (args.w is not None or args.w_file is not None):
+        raise _Refusal(
+            "error",
+            {"message": "--samples cannot be given with --w or --w-file"},
+            EXIT_PARSE,
         )
     diagram, _ = _load_checked_diagram(args.diagram)
     system = _default_system(diagram, args.seed)
@@ -193,7 +199,8 @@ def _cmd_member(args):
             raise _Refusal("error", {"message": str(exc)}, EXIT_PARSE)
         vectors = [_parse_weight_vector(line, diagram.n) for line in lines]
     else:
-        vectors = _sample_queries(diagram, fan, args.samples, args.seed or 0)
+        samples = 10 if args.samples is None else args.samples
+        vectors = _sample_queries(diagram, fan, samples, args.seed or 0)
     return (
         "ok",
         {"queries": [_member_query(system, fan, w) for w in vectors]},
@@ -290,8 +297,8 @@ def _build_parser():
     p.add_argument("diagram")
     p.add_argument("--w", default=None, help="comma-separated rationals")
     p.add_argument("--w-file", default=None, help="file with one vector per line")
-    p.add_argument("--samples", type=int, default=10,
-                   help="sampled queries when no vector is given")
+    p.add_argument("--samples", type=int, default=None,
+                   help="sampled queries when no vector is given (default 10)")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(run=_cmd_member)
 

@@ -163,45 +163,49 @@ OUTSIDE = CellLocation(kind="outside")
 
 
 def locate(fan: SpliceFan, w) -> CellLocation:
-    """Exact cell of the fan containing w (ties resolve to rays)."""
-    w = tuple(Fraction(x) for x in w)
+    """Exact cell of the fan containing w (ties resolve to rays).
+
+    w is scaled once to integers, v = L*w with L the lcm of its denominators,
+    so the ray test and the cone test (Cramer's rule on the first coordinate
+    pair where the two rays are independent) are integer cross-products.
+    Fractions are built only for the cell found.
+    """
+    w = [x if isinstance(x, int) else Fraction(x) for x in w]
     if all(x == 0 for x in w) or any(x < 0 for x in w):
         raise ValueError("weight vector must be non-negative and nonzero")
+    scale = lcm(*(x.denominator for x in w))
+    v = [x.numerator * (scale // x.denominator) for x in w]
     for ray in fan.rays:
-        coeff = _ray_multiple(ray.vector, w)
-        if coeff is not None:
-            return CellLocation(kind="on_ray", label=ray.label, coeffs=(coeff,))
+        if _on_ray(v, ray.vector):
+            k = _first_nonzero(ray.vector)
+            coeffs = (Fraction(v[k], ray.vector[k] * scale),)
+            return CellLocation(kind="on_ray", label=ray.label, coeffs=coeffs)
     for cone in fan.cones:
         r1 = fan.ray_by_label[cone.rays[0]].vector
         r2 = fan.ray_by_label[cone.rays[1]].vector
-        coeffs = _cone_coefficients(r1, r2, w)
-        if coeffs is not None and coeffs[0] > 0 and coeffs[1] > 0:
+        i = _first_nonzero(r1)
+        j = next((k for k, (a, b) in enumerate(zip(r1, r2)) if r1[i] * b != a * r2[i]), None)
+        if j is None:
+            continue
+        det = r1[i] * r2[j] - r1[j] * r2[i]
+        an = v[i] * r2[j] - v[j] * r2[i]
+        bn = r1[i] * v[j] - r1[j] * v[i]
+        if an * det > 0 and bn * det > 0 and all(
+            an * a + bn * b == det * x for a, b, x in zip(r1, r2, v)
+        ):
+            coeffs = (Fraction(an, det * scale), Fraction(bn, det * scale))
             return CellLocation(kind="in_cone", label=cone.rays, coeffs=coeffs)
     return OUTSIDE
 
 
-def _ray_multiple(ray, w):
-    k = next(i for i, x in enumerate(ray) if x)
-    coeff = Fraction(w[k], ray[k])
-    if coeff > 0 and all(w[i] == coeff * ray[i] for i in range(len(ray))):
-        return coeff
-    return None
+def _first_nonzero(r):
+    return next(i for i, x in enumerate(r) if x)
 
 
-def _cone_coefficients(r1, r2, w):
-    i = next(k for k, x in enumerate(r1) if x)
-    j = next(
-        (k for k in range(len(r1)) if r1[i] * r2[k] - r1[k] * r2[i] != 0), None
-    )
-    if j is None:
-        return None
-    det = Fraction(r1[i] * r2[j] - r1[j] * r2[i])
-    alpha = (w[i] * r2[j] - w[j] * r2[i]) / det
-    beta = (r1[i] * w[j] - r1[j] * w[i]) / det
-    for k in range(len(r1)):
-        if alpha * r1[k] + beta * r2[k] != w[k]:
-            return None
-    return (alpha, beta)
+def _on_ray(v, r):
+    """Whether the integer vector v is a positive multiple of r."""
+    k = _first_nonzero(r)
+    return v[k] * r[k] > 0 and all(a * r[k] == v[k] * b for a, b in zip(v, r))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +441,7 @@ def boundary_trop(system: SpliceSystem, leaves, samples=6, seed=0, cross_check=T
             w = tuple(
                 0 if i in kill else rng.randint(1, 40) for i in range(diagram.n)
             )
-            if _is_multiple(w, full):
+            if _on_ray(w, full):
                 continue
             if certificate_search(system, w, trunc) is None:
                 raise VerificationFailed(
@@ -456,13 +460,6 @@ def _embed_projected(diagram, leaf, projected):
             out.append(projected[k])
             k += 1
     return tuple(out)
-
-
-def _is_multiple(w, ray):
-    pairs = [(a, b) for a, b in zip(w, ray) if a or b]
-    return all(
-        a1 * b2 == a2 * b1 for (a1, b1), (a2, b2) in zip(pairs, pairs[1:])
-    )
 
 
 # ---------------------------------------------------------------------------

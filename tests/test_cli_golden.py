@@ -66,6 +66,8 @@ REFUSALS = [
     ["member", "d1.json", "--w", "1,x,1,1,1"],      # 2: not a rational
     ["member", "d1.json", "--samples", "-1"],       # 2: negative sample count
     ["member", "d1.json", "--w", "1,1,1,1,1", "--w-file", "ws_d1.txt"],  # 2: two query sources
+    ["member", "d1.json", "--w", "1,1,1,1,1", "--samples", "5"],      # 2: samples and a vector
+    ["member", "d1.json", "--w-file", "ws_d1.txt", "--samples", "5"],  # 2: samples and a file
     ["check", "det.json"],                          # 1: edge determinant
     ["system", "det.json"],                         # 1: edge determinant
     ["member", "d1.json", "--w", "0,1,1,1,1"],      # 1: not strictly positive
@@ -163,6 +165,7 @@ def build_corpus():
     for name, doc in diagrams.items():
         cmds.extend(_diagram_commands(name, doc))
     cmds.append(["member", "d1.json", "--w", "147,98,60,84,210"])
+    cmds.append(["member", "d1.json", "--w", "147/2,49,30,42,105"])
     cmds.append(["initial", "d1.json", "--w", "147,98,60,84,210"])
     cmds.append(["member", "d1.json", "--w-file", "ws_d1.txt"])
     cmds.append(["member", "d1.json", "--samples", "0"])

@@ -348,6 +348,17 @@ def test_cli_member_refuses_w_with_w_file(d1_path, tmp_path):
     assert "--w-file" in report["payload"]["message"]
 
 
+@pytest.mark.parametrize("source", ["--w", "--w-file"])
+def test_cli_member_refuses_samples_with_a_query_source(d1_path, tmp_path, source):
+    path = tmp_path / "queries.txt"
+    path.write_text("1,1,1,1,1\n")
+    value = "1,1,1,1,1" if source == "--w" else str(path)
+    code, out = run_cli("member", d1_path, source, value, "--samples", "5")
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "error"
+    assert "--samples" in report["payload"]["message"]
+
+
 def _d1_fan_doc():
     return {
         "n": 5,

@@ -31,8 +31,9 @@ from splicefan import (
     smoothness_smoke,
     splice_fan,
 )
+from conftest import LADDER, make_d1
 from splicefan.exact import kernel_basis, rref
-from splicefan.fan import _random_kernel_vector
+from splicefan.fan import OUTSIDE, CellLocation, _random_kernel_vector
 
 F = Fraction
 
@@ -160,6 +161,172 @@ def test_locate_rejects_bad_input(d1_fan):
         locate(d1_fan, (0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         locate(d1_fan, (-1, 1, 1, 1, 1))
+
+
+def test_locate_reads_rational_and_zero_entries(d1_fan, d1):
+    half = tuple(F(x, 2) for x in d1.node_weight_vector("u"))
+    loc = locate(d1_fan, half)
+    assert (loc.kind, loc.label, loc.coeffs) == ("on_ray", "u", (F(1, 2),))
+    assert locate(d1_fan, (0, F(2, 3), 0, 0, 0)).coeffs == (F(2, 3),)
+    # u + t*e1 is in the cone [l1, u] exactly when t > 0
+    assert locate(d1_fan, (F(1, 3), 98, 60, 84, 210)).kind == "outside"
+    loc = locate(d1_fan, (148, 98, 60, 84, 210))
+    assert loc.label == ("l1", "u") and loc.coeffs == (1, 1)
+    assert all(type(c) is F for c in loc.coeffs)
+
+
+# -- locate against the Fraction reference ---------------------------------------
+#
+# locate tests cells by integer cross-multiplication.  The reference below is
+# the rational test it replaced, kept to show the answers did not move.
+
+def _ray_multiple_reference(ray, w):
+    k = next(i for i, x in enumerate(ray) if x)
+    coeff = Fraction(w[k], ray[k])
+    if coeff > 0 and all(w[i] == coeff * ray[i] for i in range(len(ray))):
+        return coeff
+    return None
+
+
+def _cone_coefficients_reference(r1, r2, w):
+    i = next(k for k, x in enumerate(r1) if x)
+    j = next(
+        (k for k in range(len(r1)) if r1[i] * r2[k] - r1[k] * r2[i] != 0), None
+    )
+    if j is None:
+        return None
+    det = Fraction(r1[i] * r2[j] - r1[j] * r2[i])
+    alpha = (w[i] * r2[j] - w[j] * r2[i]) / det
+    beta = (r1[i] * w[j] - r1[j] * w[i]) / det
+    for k in range(len(r1)):
+        if alpha * r1[k] + beta * r2[k] != w[k]:
+            return None
+    return (alpha, beta)
+
+
+def _locate_reference(fan, w):
+    w = tuple(Fraction(x) for x in w)
+    if all(x == 0 for x in w) or any(x < 0 for x in w):
+        raise ValueError("weight vector must be non-negative and nonzero")
+    for ray in fan.rays:
+        coeff = _ray_multiple_reference(ray.vector, w)
+        if coeff is not None:
+            return CellLocation(kind="on_ray", label=ray.label, coeffs=(coeff,))
+    for cone in fan.cones:
+        r1 = fan.ray_by_label[cone.rays[0]].vector
+        r2 = fan.ray_by_label[cone.rays[1]].vector
+        coeffs = _cone_coefficients_reference(r1, r2, w)
+        if coeffs is not None and coeffs[0] > 0 and coeffs[1] > 0:
+            return CellLocation(kind="in_cone", label=cone.rays, coeffs=coeffs)
+    return OUTSIDE
+
+
+def _outcome(find, fan, w):
+    try:
+        cell = find(fan, w)
+    except ValueError:
+        return "ValueError"
+    assert all(type(c) is Fraction for c in cell.coeffs)
+    return cell
+
+
+def assert_locate_matches_reference(fan, queries):
+    for w in queries:
+        assert _outcome(locate, fan, w) == _outcome(_locate_reference, fan, w), w
+
+
+def _draw_queries(rng, diagram, fan, count):
+    """Alternately a*r1 + b*r2 on a random edge's cone (a, b in 1..9) and a
+    random vector in 1..40 per coordinate, as the benchmark draws them."""
+    edges = list(diagram.edges())
+    out = []
+    for q in range(count):
+        if q % 2 == 0:
+            a, b = rng.choice(edges)
+            x, y = rng.randint(1, 9), rng.randint(1, 9)
+            r1, r2 = fan.ray_by_label[a].vector, fan.ray_by_label[b].vector
+            out.append(tuple(x * p + y * q2 for p, q2 in zip(r1, r2)))
+        else:
+            out.append(tuple(rng.randint(1, 40) for _ in diagram.leaves))
+    return out
+
+
+# the benchmark's member pool: every shape with 4 to 8 leaves and 1 to 3
+# nodes, six times in four kinds, ten queries per diagram, drawn in the order
+# of bench/workloads.py (the Hamm coefficient seed is drawn but not needed)
+MEMBER_SHAPES = tuple((n, k) for n in range(4, 9) for k in range(1, min(3, n - 2) + 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_locate_matches_reference_on_the_member_pool(seed):
+    rng = random.Random(seed)
+    count = 0
+    for n, nodes in MEMBER_SHAPES * 6:
+        for coprime, vandermonde in ((True, True), (False, True), (True, False),
+                                     (False, False)):
+            d = random_diagram(n, nodes, rng.randrange(2**32), require_coprime=coprime)
+            if not vandermonde:
+                rng.randrange(2**32)
+            fan = splice_fan(d)
+            queries = _draw_queries(rng, d, fan, 10)
+            assert_locate_matches_reference(fan, queries)
+            count += len(queries)
+    assert count == 3360
+
+
+def test_locate_matches_reference_on_the_ladder():
+    """The 54 ladder fans: the queries of three seeds' ladder runs, every
+    ray and every cone's sum of rays."""
+    rngs = [random.Random(seed) for seed in (1, 2, 3)]
+    for n, k in LADDER:
+        for s in (0, 1, 2):
+            d = random_diagram(n, k, s)
+            fan = splice_fan(d)
+            queries = [w for rng in rngs for w in _draw_queries(rng, d, fan, 4)]
+            queries += [r.vector for r in fan.rays]
+            queries += [
+                tuple(a + b for a, b in zip(*(fan.ray_by_label[x].vector for x in c.rays)))
+                for c in fan.cones
+            ]
+            assert_locate_matches_reference(fan, queries)
+
+
+# d1's fan, then small random diagrams, coprime or not
+_PROPERTY_FANS = [splice_fan(make_d1())] + [
+    splice_fan(random_diagram(*shape, seed, require_coprime=seed % 2 == 0))
+    for seed, shape in enumerate(((3, 1), (5, 2), (6, 3), (7, 2), (8, 3)) * 2, 1)
+]
+
+
+_positive_rationals = st.fractions(min_value=F(1, 50), max_value=50, max_denominator=50)
+
+
+@st.composite
+def _fan_points(draw):
+    """A point on a ray or inside a cone, scaled by random positive
+    rationals, perhaps nudged by +-1 in one coordinate or zeroed there."""
+    fan = draw(st.sampled_from(_PROPERTY_FANS))
+    if draw(st.booleans()):
+        ray = draw(st.sampled_from(fan.rays))
+        c = draw(_positive_rationals)
+        w = [c * x for x in ray.vector]
+    else:
+        cone = draw(st.sampled_from(fan.cones))
+        a, b = draw(_positive_rationals), draw(_positive_rationals)
+        r1, r2 = (fan.ray_by_label[x].vector for x in cone.rays)
+        w = [a * x + b * y for x, y in zip(r1, r2)]
+    change = draw(st.sampled_from([None, 1, -1, 0]))
+    if change is not None:
+        k = draw(st.integers(0, len(w) - 1))
+        w[k] = w[k] + change if change else 0
+    return fan, tuple(w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fan_points())
+def test_locate_matches_reference_property(case):
+    fan, w = case
+    assert_locate_matches_reference(fan, [w])
 
 
 # -- certificates ----------------------------------------------------------------
