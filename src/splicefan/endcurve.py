@@ -10,8 +10,8 @@ are the linking numbers from the root divided by their gcd.
 from __future__ import annotations
 
 import cmath
-import threading
 from fractions import Fraction
+from itertools import product
 from math import inf
 
 from .diagram import SpliceDiagram
@@ -21,8 +21,6 @@ from .record import Record
 from .system import Polynomial, SpliceSystem
 
 NUMERIC_TOL = 1e-9
-
-_numeric = threading.local()
 
 
 class RootedDiagram(Record):
@@ -127,47 +125,70 @@ def binomial_reduce(ecs: EndCurveSystem) -> BinomialSystem:
 # Torus solutions of binomial systems
 # ---------------------------------------------------------------------------
 
-def _reduce_columns(mat, kernels):
-    """Shrink each column of an integer matrix by integer kernel shifts.
+def _shift_guess(dot, weight):
+    """The floating-point guess -round(dot / weight) of a kernel shift."""
+    try:
+        return -round(dot / weight)
+    except OverflowError:
+        raise SolveFailed("kernel shift too large for a floating-point guess") from None
 
-    The shift is guessed in floating point; a column too large for a float
-    guess raises SolveFailed.
+
+def _reduce_column(column, kernels):
+    """Shrink an integer column in place by integer shifts along each
+    (kernel, weight), trying the five shifts around the float guess and
+    keeping the first of least l1 norm."""
+    for kernel, weight in kernels:
+        guess = _shift_guess(sum([c * k for c, k in zip(column, kernel)]), weight)
+        best, best_cost = 0, None
+        for t in range(guess - 2, guess + 3):
+            cost = sum([abs(c + t * k) for c, k in zip(column, kernel)])
+            if best_cost is None or cost < best_cost:
+                best, best_cost = t, cost
+        if best:
+            column[:] = [c + best * k for c, k in zip(column, kernel)]
+
+
+def _exact_solution(u, v, rank, kappa, kernels):
+    """The rational solution x_k = prod_j kappa_j^(M[k][j]) of a unimodular
+    system, M = V_r U_r with its columns reduced along the kernels; None
+    when a coordinate's load (sum over j of |M[k][j]| times the bit size of
+    kappa_j) passes 1500, too large to verify.
+
+    With one kernel vector (every end-curve) the columns are built and
+    reduced one at a time and the attempt stops at the first load past the
+    limit.  Every column's shift guess is taken first, from
+    u[:, j] . (V_r^T kernel), the same integer as the column's own dot
+    product, so a guess too large for a float is refused whether or not the
+    attempt would have stopped before its column.  With more kernels the
+    later guesses depend on the earlier shifts, so no column is skipped.
     """
-    width = len(mat)
-    if not width:
-        return
-    n_cols = len(mat[0])
-    for kernel in kernels:
-        weight = sum(c * c for c in kernel)
-        if weight == 0:
-            continue
-        for j in range(n_cols):
-            try:
-                guess = -round(sum(mat[k][j] * kernel[k] for k in range(width)) / weight)
-            except OverflowError:
-                raise SolveFailed("kernel shift too large for a floating-point guess") from None
-            best, best_cost = 0, None
-            for t in range(guess - 2, guess + 3):
-                cost = sum(abs(mat[k][j] + t * kernel[k]) for k in range(width))
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = t, cost
-            if best:
-                for k in range(width):
-                    mat[k][j] += best * kernel[k]
-
-
-def _mp_context():
-    """This thread's own 60-digit mpmath context, made on its first numeric
-    solve; the global ``mpmath.mp`` is never touched.  One per thread rather
-    than one per solve: making a context costs about as much as a small
-    solve."""
-    ctx = getattr(_numeric, "ctx", None)
-    if ctx is None:
-        from mpmath import MPContext
-
-        ctx = _numeric.ctx = MPContext()
-        ctx.dps = 60
-    return ctx
+    n_rows, width = len(u), len(v)
+    bits = [c.numerator.bit_length() + c.denominator.bit_length() for c in kappa]
+    stop_early = len(kernels) <= 1
+    if len(kernels) == 1:
+        kernel, weight = kernels[0]
+        across = [sum(v[k][i] * kernel[k] for k in range(width)) for i in range(rank)]
+        for j in range(n_rows):
+            _shift_guess(sum(u[i][j] * across[i] for i in range(rank)), weight)
+    load = [0] * width
+    columns = []
+    for j in range(n_rows):
+        column = [sum(v[k][i] * u[i][j] for i in range(rank)) for k in range(width)]
+        _reduce_column(column, kernels)
+        columns.append(column)
+        load = [l + abs(c) * bits[j] for l, c in zip(load, column)]
+        if stop_early and max(load) > 1500:
+            return None
+    if max(load) > 1500:  # keep exact representatives small enough to verify
+        return None
+    solution = []
+    for k in range(width):
+        value = Fraction(1)
+        for c, column in zip(kappa, columns):
+            if column[k]:
+                value *= c ** column[k]
+        solution.append(value)
+    return tuple(solution)
 
 
 def solve_binomial_torus(rows, consts, width):
@@ -191,82 +212,99 @@ def solve_binomial_torus(rows, consts, width):
     kappa = [Fraction(c) for c in consts]
     if any(c == 0 for c in kappa):
         raise SolveFailed("zero constant in a binomial relation")
-    logk = [cmath.log(complex(c)) for c in kappa]
-    for i in range(rank, n_rows):
-        if abs(sum(u[i][j] * logk[j] for j in range(n_rows))) > 1e-6:
-            raise SolveFailed("inconsistent binomial system")
-    kernels = [[v[k][j] for k in range(width)] for j in range(rank, width)]
+    if rank < n_rows:
+        logk = [cmath.log(complex(c)) for c in kappa]
+        for i in range(rank, n_rows):
+            if abs(sum(u[i][j] * logk[j] for j in range(n_rows))) > 1e-6:
+                raise SolveFailed("inconsistent binomial system")
+    kernels = []
+    for j in range(rank, width):
+        kernel = [v[k][j] for k in range(width)]
+        weight = sum(c * c for c in kernel)
+        if weight:
+            kernels.append((kernel, weight))
 
     if all(d == 1 for d in diag[:rank]):
-        # x_k = prod_j kappa_j^(M[k][j]) with M = E . U; reduce M's columns
-        # along the kernel before taking any powers
-        m = [
-            [
-                sum(v[k][i] * u[i][j] for i in range(rank))
-                for j in range(n_rows)
-            ]
-            for k in range(width)
-        ]
-        _reduce_columns(m, kernels)
-        kappa_bits = [
-            c.numerator.bit_length() + c.denominator.bit_length() for c in kappa
-        ]
-        load = max(
-            sum(abs(m[k][j]) * kappa_bits[j] for j in range(n_rows))
-            for k in range(width)
-        )
-        if load <= 1500:  # keep exact representatives small enough to verify
-            solution = []
-            for k in range(width):
-                value = Fraction(1)
-                for j in range(n_rows):
-                    if m[k][j]:
-                        value *= kappa[j] ** m[k][j]
-                solution.append(value)
-            return [tuple(solution)], True
+        solution = _exact_solution(u, v, rank, kappa, kernels)
+        if solution is not None:
+            return [solution], True
+    return _numeric_solutions(u, v, diag[:rank], kappa, kernels), False
 
-    # numeric branch: log space at high precision (the Smith transforms can
-    # carry large integer entries that would amplify double-precision noise),
-    # with the exponent matrix reduced along the kernel first
-    ctx = _mp_context()
-    exps = [[v[k][i] for i in range(rank)] for k in range(width)]
-    _reduce_columns(exps, kernels)
 
-    logk_mp = [
-        ctx.log(ctx.mpc(c.numerator)) - ctx.log(ctx.mpc(c.denominator)) for c in kappa
+def _numeric_solutions(u, v, diag, kappa, kernels):
+    """The components in log space at 60 digits (the Smith transforms can
+    carry large integer entries that would amplify double-precision noise),
+    with the exponent matrix reduced along the kernel first.
+
+    The arithmetic is mpmath's raw ``libmp`` functions, called in the order
+    that the context-level expressions would call them, so the bits are
+    those of a 60-digit mpmath context; a term with a zero integer
+    coefficient is skipped, which changes nothing, as every term is already
+    rounded and adding a zero returns it unchanged.
+    """
+    from mpmath.libmp import (
+        from_int, fone, fzero, mpc_add, mpc_add_mpf, mpc_div_mpf, mpc_exp,
+        mpc_log, mpc_mul_int, mpc_mul_mpf, mpc_sub, mpc_to_complex, mpf_add,
+        mpf_div, mpf_mul_int, mpf_neg, mpf_pi,
+    )
+
+    prec, rnd = 203, "n"  # mpmath's 60 digits, rounding to nearest
+    width, rank = len(v), len(diag)
+    exps = [[v[k][i] for k in range(width)] for i in range(rank)]  # columns
+    for column in exps:
+        _reduce_column(column, kernels)
+
+    def log_int(n):
+        return mpc_log((from_int(n, prec, rnd), fzero), prec, rnd)
+
+    def combination(coefficients, values):
+        """sum(c * x) over the nonzero integer coefficients c, as Python's
+        sum folds it; zero when every coefficient is zero."""
+        total = None
+        for c, x in zip(coefficients, values):
+            if c:
+                term = mpc_mul_int(x, c, prec, rnd)
+                total = term if total is None else mpc_add(total, term, prec, rnd)
+        return (fzero, fzero) if total is None else total
+
+    logk = [
+        mpc_sub(log_int(c.numerator), log_int(c.denominator), prec, rnd) for c in kappa
     ]
+    divisors = [from_int(d) for d in diag]
     base_logy = [
-        sum(u[i][j] * logk_mp[j] for j in range(n_rows)) / diag[i]
-        for i in range(rank)
+        mpc_div_mpf(combination(u[i], logk), divisors[i], prec, rnd) for i in range(rank)
     ]
+    # 2 * pi * i, as the context evaluates 2 * ctx.pi * ctx.mpc(0, 1)
+    two_pi = mpf_mul_int(mpf_pi(prec, rnd), 2, prec, rnd)
+    two_pi_i = mpc_mul_mpf((fzero, fone), two_pi, prec, rnd)
+    exp_rows = [[column[k] for column in exps] for k in range(width)]
+    shift_kernels = [(kernel, from_int(weight)) for kernel, weight in kernels]
     solutions = []
-    torsion_ranges = [range(d) for d in diag[:rank]]
-
-    def emit(torsion):
+    for torsion in product(*(range(d) for d in diag)):
         logy = [
-            base_logy[i] + 2 * ctx.pi * ctx.mpc(0, 1) * torsion[i] / diag[i]
-            for i in range(rank)
+            mpc_add(
+                y,
+                mpc_div_mpf(mpc_mul_int(two_pi_i, t, prec, rnd), divisors[i], prec, rnd),
+                prec, rnd,
+            ) if t else y
+            for i, (y, t) in enumerate(zip(base_logy, torsion))
         ]
-        logx = [
-            sum(exps[k][i] * logy[i] for i in range(rank)) for k in range(width)
-        ]
-        for kernel in kernels:
-            weight = sum(c * c for c in kernel)
-            if weight == 0:
-                continue
-            shift = -sum(logx[k].real * kernel[k] for k in range(width)) / weight
-            logx = [logx[k] + shift * kernel[k] for k in range(width)]
-        solutions.append(tuple(complex(ctx.exp(val)) for val in logx))
-
-    def expand(prefix, level):
-        if level == rank:
-            emit(prefix)
-            return
-        for t in torsion_ranges[level]:
-            expand(prefix + [t], level + 1)
-
-    expand([], 0)
-    return solutions, False
+        logx = [combination(row, logy) for row in exp_rows]
+        for kernel, weight in shift_kernels:
+            total = None
+            for x, c in zip(logx, kernel):
+                if c:
+                    term = mpf_mul_int(x[0], c, prec, rnd)
+                    total = term if total is None else mpf_add(total, term, prec, rnd)
+            shift = mpf_div(mpf_neg(total, prec, rnd), weight, prec, rnd)
+            logx = [
+                mpc_add_mpf(x, mpf_mul_int(shift, c, prec, rnd), prec, rnd) if c else x
+                for x, c in zip(logx, kernel)
+            ]
+        solutions.append(
+            tuple(mpc_to_complex(mpc_exp(x, prec, rnd), False, rnd) for x in logx)
+        )
+    return solutions
 
 
 # ---------------------------------------------------------------------------

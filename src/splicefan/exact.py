@@ -126,72 +126,83 @@ def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _smallest_entry(a, t):
+    """(i, j) of the nonzero entry of a[t:][t:] smallest in absolute value,
+    the first in row-major order among equals; None when all are zero."""
+    best, at = 0, None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x:
+                if x < 0:
+                    x = -x
+                if x < best or not best:
+                    if x == 1:
+                        return i, j
+                    best, at = x, (i, j)
+    return at
+
+
 def smith_normal_form(matrix):
     """Smith normal form S = U A V with U, V unimodular.
 
     Returns (U, S, V) as lists of rows; the diagonal of S is non-negative
     with each entry dividing the next.  Classic smallest-pivot reduction:
     the pivot magnitude strictly drops whenever a division is inexact, so
-    the loop terminates.
+    the loop terminates.  V is kept as a list of columns while reducing,
+    and a column swap or operation at step t touches only rows t and below
+    of A, the rows above being zero off the diagonal.
     """
     a = [list(row) for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     u = _identity(m)
-    v = _identity(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, f):
-        for row in a:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
+    vt = _identity(n)  # columns of V
     for t in range(min(m, n)):
         while True:
-            entries = [
-                (abs(a[i][j]), i, j)
-                for i in range(t, m)
-                for j in range(t, n)
-                if a[i][j] != 0
-            ]
-            if not entries:
+            at = _smallest_entry(a, t)
+            if at is None:
                 break
-            _, pi, pj = min(entries)
+            pi, pj = at
             if pi != t:
-                swap_rows(t, pi)
+                a[t], a[pi] = a[pi], a[t]
+                u[t], u[pi] = u[pi], u[t]
             if pj != t:
-                swap_cols(t, pj)
-            pivot = a[t][t]
+                for i in range(t, m):
+                    row = a[i]
+                    row[t], row[pj] = row[pj], row[t]
+                vt[t], vt[pj] = vt[pj], vt[t]
+            top, u_top = a[t], u[t]
+            pivot = top[t]
             progress = False
             for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    addmul_row(i, t, -(a[i][t] // pivot))
+                if a[i][t]:
+                    f = -(a[i][t] // pivot)
+                    a[i] = [x + f * y for x, y in zip(a[i], top)]
+                    u[i] = [x + f * y for x, y in zip(u[i], u_top)]
                     progress = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    addmul_col(j, t, -(a[t][j] // pivot))
-                    progress = True
+            # every column operation adds a multiple of column t, which none
+            # of them changes: read all factors first, then add row by row
+            factors = [(j, -(top[j] // pivot)) for j in range(t + 1, n) if top[j]]
+            if factors:
+                progress = True
+                v_t = vt[t]
+                for j, f in factors:
+                    vt[j] = [x + f * y for x, y in zip(vt[j], v_t)]
+                for i in range(t, m):
+                    row = a[i]
+                    x = row[t]
+                    if x:
+                        for j, f in factors:
+                            row[j] += f * x
             if progress:
                 continue
             # pivot clears its row and column; fold in any entry it does not
             # divide, which will shrink the pivot on the next sweep
             offender = next(
                 (
-                    (i, j)
+                    i
                     for i in range(t + 1, m)
                     for j in range(t + 1, n)
                     if a[i][j] % pivot != 0
@@ -200,8 +211,9 @@ def smith_normal_form(matrix):
             )
             if offender is None:
                 break
-            addmul_row(t, offender[0], 1)
-        if t < min(m, n) and a[t][t] < 0:
+            a[t] = [x + y for x, y in zip(top, a[offender])]
+            u[t] = [x + y for x, y in zip(u_top, u[offender])]
+        if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
-    return u, a, v
+    return u, a, [list(row) for row in zip(*vt)]

@@ -1,7 +1,9 @@
-"""Shared fixtures: the two-node worked example, stars, and diagram pools."""
+"""Shared fixtures: the two-node worked example, stars, diagram pools and
+the end-curve solve inputs of the benchmark ladder."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -11,6 +13,7 @@ from splicefan import (
     build_system,
     random_coefficients,
     random_diagram,
+    root,
     splice_fan,
 )
 
@@ -113,3 +116,29 @@ def system_for(diagram, seed=None):
     rng = random.Random(seed)
     coeffs = {v: random_coefficients(diagram, v, rng) for v in diagram.nodes}
     return build_system(diagram, coeffs=coeffs)
+
+
+def solve_inputs(system, leaf):
+    """The (rows, consts, width) that parameterize at ``leaf`` hands to
+    solve_binomial_torus, read by running torus_components with the solver
+    replaced."""
+    from splicefan import endcurve
+
+    captured = []
+    diagram = system.diagram
+    with mock.patch.object(endcurve, "solve_binomial_torus", lambda *args: captured.append(args)):
+        endcurve.torus_components(system, leaf, root(diagram, leaf).others, diagram.nodes)
+    (inputs,) = captured
+    return inputs
+
+
+@pytest.fixture(scope="session")
+def ladder_solves():
+    """The solve inputs of one benchmark ladder round: every root of the 54
+    ladder diagrams, on their Vandermonde systems (486 solves)."""
+    out = []
+    for n, k in LADDER:
+        for seed in (0, 1, 2):
+            system = build_system(random_diagram(n, k, seed))
+            out.extend(solve_inputs(system, leaf) for leaf in system.diagram.leaves)
+    return tuple(out)

@@ -1,15 +1,18 @@
 """End-curves: rooted linking numbers, binomial reduction, parameterization."""
 
+import cmath
+import functools
 import json
 import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import system_for
+from conftest import solve_inputs, system_for
 from splicefan import (
     EliminationDegenerate,
     MonomialCurve,
@@ -25,9 +28,10 @@ from splicefan import (
     root,
     verify_parameterization,
 )
-from splicefan.documents import diagram_to_doc
-from splicefan.endcurve import node_binomials
-from splicefan.exact import nullspace_one, rref
+from splicefan.documents import diagram_from_doc, diagram_to_doc
+from splicefan.endcurve import node_binomials, solve_binomial_torus
+from splicefan.errors import SolveFailed
+from splicefan.exact import nullspace_one, rref, smith_normal_form
 
 F = Fraction
 
@@ -341,3 +345,196 @@ def test_numeric_solves_agree_across_threads():
         sys.setswitchinterval(interval)
     assert len(results) == 16
     assert all(components == expected for components in results)
+
+
+# ---------------------------------------------------------------------------
+# The solve against the context-level mpmath code it replaced
+# ---------------------------------------------------------------------------
+
+def _reduce_columns_reference(mat, kernels):
+    width = len(mat)
+    if not width:
+        return
+    n_cols = len(mat[0])
+    for kernel in kernels:
+        weight = sum(c * c for c in kernel)
+        if weight == 0:
+            continue
+        for j in range(n_cols):
+            try:
+                guess = -round(sum(mat[k][j] * kernel[k] for k in range(width)) / weight)
+            except OverflowError:
+                raise SolveFailed("kernel shift too large for a floating-point guess") from None
+            best, best_cost = 0, None
+            for t in range(guess - 2, guess + 3):
+                cost = sum(abs(mat[k][j] + t * kernel[k]) for k in range(width))
+                if best_cost is None or cost < best_cost:
+                    best, best_cost = t, cost
+            if best:
+                for k in range(width):
+                    mat[k][j] += best * kernel[k]
+
+
+@functools.lru_cache(maxsize=None)
+def _context():
+    from mpmath import MPContext
+
+    ctx = MPContext()
+    ctx.dps = 60
+    return ctx
+
+
+def _solve_reference(rows, consts, width):
+    """solve_binomial_torus as it was written on a 60-digit mpmath context:
+    the whole exact attempt first, then every numeric step as an mpf/mpc
+    expression, zero coefficients included."""
+    if not rows:
+        return [tuple(Fraction(1) for _ in range(width))], True
+    u, s, v = smith_normal_form([list(r) for r in rows])
+    n_rows = len(rows)
+    diag = [s[i][i] for i in range(min(n_rows, width))]
+    rank = sum(1 for d in diag if d != 0)
+    kappa = [Fraction(c) for c in consts]
+    if any(c == 0 for c in kappa):
+        raise SolveFailed("zero constant in a binomial relation")
+    logk = [cmath.log(complex(c)) for c in kappa]
+    for i in range(rank, n_rows):
+        if abs(sum(u[i][j] * logk[j] for j in range(n_rows))) > 1e-6:
+            raise SolveFailed("inconsistent binomial system")
+    kernels = [[v[k][j] for k in range(width)] for j in range(rank, width)]
+
+    if all(d == 1 for d in diag[:rank]):
+        m = [
+            [sum(v[k][i] * u[i][j] for i in range(rank)) for j in range(n_rows)]
+            for k in range(width)
+        ]
+        _reduce_columns_reference(m, kernels)
+        kappa_bits = [c.numerator.bit_length() + c.denominator.bit_length() for c in kappa]
+        load = max(
+            sum(abs(m[k][j]) * kappa_bits[j] for j in range(n_rows)) for k in range(width)
+        )
+        if load <= 1500:
+            solution = []
+            for k in range(width):
+                value = Fraction(1)
+                for j in range(n_rows):
+                    if m[k][j]:
+                        value *= kappa[j] ** m[k][j]
+                solution.append(value)
+            return [tuple(solution)], True
+
+    ctx = _context()
+    exps = [[v[k][i] for i in range(rank)] for k in range(width)]
+    _reduce_columns_reference(exps, kernels)
+    logk_mp = [
+        ctx.log(ctx.mpc(c.numerator)) - ctx.log(ctx.mpc(c.denominator)) for c in kappa
+    ]
+    base_logy = [
+        sum(u[i][j] * logk_mp[j] for j in range(n_rows)) / diag[i] for i in range(rank)
+    ]
+    solutions = []
+
+    def emit(torsion):
+        logy = [
+            base_logy[i] + 2 * ctx.pi * ctx.mpc(0, 1) * torsion[i] / diag[i]
+            for i in range(rank)
+        ]
+        logx = [sum(exps[k][i] * logy[i] for i in range(rank)) for k in range(width)]
+        for kernel in kernels:
+            weight = sum(c * c for c in kernel)
+            if weight == 0:
+                continue
+            shift = -sum(logx[k].real * kernel[k] for k in range(width)) / weight
+            logx = [logx[k] + shift * kernel[k] for k in range(width)]
+        solutions.append(tuple(complex(ctx.exp(val)) for val in logx))
+
+    def expand(prefix, level):
+        if level == rank:
+            emit(prefix)
+            return
+        for t in range(diag[level]):
+            expand(prefix + [t], level + 1)
+
+    expand([], 0)
+    return solutions, False
+
+
+def _bits(solutions):
+    """Every component's entries as the reprs of their parts."""
+    return [
+        [(repr(c.real), repr(c.imag)) if isinstance(c, complex) else repr(c) for c in comp]
+        for comp in solutions
+    ]
+
+
+def _same_solve(rows, consts, width):
+    """Solve with both; return whether the reference took the numeric branch."""
+    solutions, exact = solve_binomial_torus(rows, consts, width)
+    expected, expected_exact = _solve_reference(rows, consts, width)
+    assert exact == expected_exact, rows
+    assert _bits(solutions) == _bits(expected), rows
+    return not exact
+
+
+def test_solve_matches_the_context_reference_on_the_ladder(ladder_solves):
+    assert len(ladder_solves) == 486
+    assert all(_same_solve(*inputs) for inputs in ladder_solves)
+
+
+def test_solve_matches_the_context_reference_on_the_golden_corpus():
+    golden = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
+    numeric = 0
+    for case in golden["cases"]:
+        argv = case["argv"]
+        if argv[0] != "endcurve" or case["exit"] != 0:
+            continue
+        diagram = diagram_from_doc(json.loads(golden["files"][argv[1]]))
+        seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else None
+        system = system_for(diagram, seed)
+        numeric += _same_solve(*solve_inputs(system, argv[3]))
+    assert numeric >= 40, numeric
+
+
+def test_solve_matches_the_context_reference_with_torsion():
+    """Roots of non-coprime diagrams, whose Smith diagonal has an entry
+    above 1, so that the 2*pi*i*t/d torsion term is taken."""
+    roots, two_torsion = 0, 0
+    shapes = [(n, k, s) for n, k in ((4, 1), (5, 1), (5, 2)) for s in range(4)]
+    for n, k, s in shapes + [(7, 2, 0), (7, 2, 3)]:
+        system = build_system(random_diagram(n, k, s, require_coprime=False))
+        for leaf in system.diagram.leaves:
+            rows, consts, width = solve_inputs(system, leaf)
+            _, smith, _ = smith_normal_form(rows)
+            diag = [smith[i][i] for i in range(min(len(rows), width))]
+            components = 1
+            for d in diag:
+                components *= d
+            if components == 1 or components > 300:
+                continue
+            assert _same_solve(rows, consts, width)
+            roots += 1
+            two_torsion += sum(d > 1 for d in diag) > 1
+    assert roots >= 20 and two_torsion >= 3, (roots, two_torsion)
+
+
+DIAGRAM_40 = Path(__file__).with_name("data") / "random_40_14_seed0.json"
+OUTCOMES_40 = Path(__file__).with_name("data") / "random_40_14_seed0_endcurves.json"
+
+
+def test_forty_leaf_roots_refuse_as_recorded():
+    """Every root of the recorded 40-leaf diagram raises the recorded
+    exception class and message (37 kernel-shift refusals, 3 failed
+    substitutions)."""
+    recorded = json.loads(OUTCOMES_40.read_text())
+    assert recorded["diagram"] == DIAGRAM_40.name
+    d = diagram_from_doc(json.loads(DIAGRAM_40.read_text()))
+    system = build_system(d)
+    assert sorted(recorded["outcomes"]) == sorted(d.leaves)
+    outcomes = {}
+    for leaf in d.leaves:
+        try:
+            parameterize(end_curve_system(system, root(d, leaf)))
+            outcomes[leaf] = ["ok", ""]
+        except Exception as exc:  # the class and message are the outcome
+            outcomes[leaf] = [type(exc).__name__, str(exc)]
+    assert outcomes == recorded["outcomes"]
