@@ -107,6 +107,14 @@ def _parse_weight_vector(text, n):
         raise _Refusal("error", {"message": f"bad weight vector {text!r}"}, EXIT_PARSE)
 
 
+def _positive(w, what):
+    if any(x <= 0 for x in w):
+        raise _Refusal(
+            "violation", {"message": f"{what} must be strictly positive"}, EXIT_REFUSED
+        )
+    return w
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -184,20 +192,17 @@ def _cmd_member(args):
     system = _default_system(diagram, args.seed)
     fan = splice_fan(diagram)
     if args.w is not None:
-        w = _parse_weight_vector(args.w, diagram.n)
-        if any(x <= 0 for x in w):
-            raise _Refusal(
-                "violation", {"message": "weight vector must be strictly positive"},
-                EXIT_REFUSED,
-            )
+        w = _positive(_parse_weight_vector(args.w, diagram.n), "weight vector")
         return "ok", _member_query(system, fan, w), EXIT_OK
     if args.w_file is not None:
         try:
             with open(args.w_file, "r", encoding="utf-8") as handle:
-                lines = [line.strip() for line in handle if line.strip()]
+                lines = [(k, line.strip()) for k, line in enumerate(handle, 1) if line.strip()]
         except OSError as exc:
             raise _Refusal("error", {"message": str(exc)}, EXIT_PARSE)
-        vectors = [_parse_weight_vector(line, diagram.n) for line in lines]
+        vectors = [_parse_weight_vector(line, diagram.n) for _, line in lines]
+        for (k, _), w in zip(lines, vectors):
+            _positive(w, f"weight vector on line {k}")
     else:
         samples = 10 if args.samples is None else args.samples
         vectors = _sample_queries(diagram, fan, samples, args.seed or 0)

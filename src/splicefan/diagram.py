@@ -9,7 +9,7 @@ vector produced downstream.  All arithmetic is exact.
 from __future__ import annotations
 
 import random
-from math import gcd, prod
+from math import gcd
 
 from .errors import GenerationExhausted
 from .record import Record, hidden
@@ -81,8 +81,8 @@ class SpliceDiagram:
             v: tuple(sorted(nbrs, key=lambda x: order.get(x, (2, 0))))
             for v, nbrs in adjacency.items()
         }
-        self._linking = None
-        self._reduced = None
+        self._branches = {}  # (v, u) -> branch_table of the directed edge
+        self._rows = {}  # v -> {x: (linking number, reduced linking number)}
         self._conditions = None
 
     # -- basic structure ----------------------------------------------------
@@ -122,13 +122,19 @@ class SpliceDiagram:
         return self._weights[(v, u)]
 
     def total_weight(self, v) -> int:
-        out = 1
-        for u in self._adj[v]:
-            out *= self._weights[(v, u)]
-        return out
+        return _weights_off(self._adj, self._weights, v)
+
+    def weights_off(self, x, a, b=None) -> int:
+        """Product of x's weights toward its neighbours other than a and b
+        (1 at a leaf)."""
+        return _weights_off(self._adj, self._weights, x, a, b)
 
     def first_step(self, v, x):
-        return self.geodesic(v, x)[1]
+        """The neighbour of v whose branch holds x."""
+        for u in self._adj[v]:
+            if x in self._branch(v, u):
+                return u
+        raise KeyError(f"no first step from {v!r} to {x!r}")
 
     def geodesic(self, u, v):
         """The unique vertex path from u to v (endpoints included)."""
@@ -152,77 +158,49 @@ class SpliceDiagram:
         path.reverse()
         return path
 
-    def beyond(self, v, u):
-        """Vertices whose geodesic from v starts with the edge [v, u]."""
-        seen = {v, u}
-        stack = [u]
-        while stack:
-            for y in self._adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        seen.discard(v)
-        return seen
+    def _branch(self, v, u):
+        if u not in self._adj[v]:
+            raise KeyError(f"({v!r}, {u!r}) is not an edge")
+        return branch_table(self._branches, self._adj, self._weights, v, u)
 
     def leaves_beyond(self, v, u):
         """Leaves whose geodesic from v starts with the edge [v, u], in leaf order."""
-        side = self.beyond(v, u)
+        side = self._branch(v, u)
         return [l for l in self.leaves if l in side]
+
+    def nodes_beyond(self, v, u):
+        """Nodes whose geodesic from v starts with the edge [v, u], in node order."""
+        side = self._branch(v, u)
+        return [x for x in self.nodes if x in side]
 
     # -- linking numbers -----------------------------------------------------
 
-    def _compute_linking(self):
-        link = {}
-        reduced = {}
-        for src in self.vertices:
-            if self.is_node(src):
-                link[(src, src)] = self.total_weight(src)
-                reduced[(src, src)] = 1
-            src_node = self.is_node(src)
-            for first in self._adj[src]:
-                carry = 1
-                if src_node:
-                    for e in self._adj[src]:
-                        if e != first:
-                            carry *= self._weights[(src, e)]
-                stack = [(first, src, carry, 1)]
-                while stack:
-                    x, came, full, red = stack.pop()
-                    if self.is_node(x):
-                        end_factor = 1
-                        for e in self._adj[x]:
-                            if e != came:
-                                end_factor *= self._weights[(x, e)]
-                        link[(src, x)] = full * end_factor
-                        reduced[(src, x)] = red
-                        for y in self._adj[x]:
-                            if y == came:
-                                continue
-                            through = 1
-                            for e in self._adj[x]:
-                                if e != came and e != y:
-                                    through *= self._weights[(x, e)]
-                            stack.append((y, x, full * through, red * through))
-                    else:
-                        link[(src, x)] = full
-                        reduced[(src, x)] = red
-        self._linking = link
-        self._reduced = reduced
+    def _row(self, v, x):
+        """(linking number, reduced linking number) from v to x.
+
+        v's row is read off the tables of the edges at v on first use and
+        kept once complete.
+        """
+        row = self._rows.get(v)
+        if row is None:
+            row = {v: (self.total_weight(v), 1)} if v in self._node_set else {}
+            for u in self._adj[v]:
+                near = self.weights_off(v, u)
+                for y, (through, end) in self._branch(v, u).items():
+                    row[y] = (near * through * end, through)
+            self._rows[v] = row
+        try:
+            return row[x]
+        except KeyError:
+            raise KeyError(f"unknown vertex pair ({v!r}, {x!r})") from None
 
     def linking_number(self, u, v) -> int:
         """Product of the weights adjacent to, but not on, the geodesic [u, v]."""
-        if self._linking is None:
-            self._compute_linking()
-        try:
-            return self._linking[(u, v)]
-        except KeyError:
-            raise KeyError(f"unknown vertex pair ({u!r}, {v!r})") from None
+        return self._row(u, v)[0]
 
     def reduced_linking(self, v, u) -> int:
         """Like linking_number but omitting the weights around both endpoints."""
-        if self._reduced is None:
-            self._compute_linking()
-        return self._reduced[(v, u)]
+        return self._row(v, u)[1]
 
     def node_weight_vector(self, v) -> tuple[int, ...]:
         """The vector of linking numbers from node v to every leaf, in leaf order."""
@@ -238,6 +216,47 @@ class SpliceDiagram:
 
     def __repr__(self):
         return f"SpliceDiagram(leaves={list(self.leaves)}, nodes={list(self.nodes)})"
+
+
+def _weights_off(adjacent, weights, x, a=None, b=None):
+    """Product of x's half-edge weights toward its neighbours other than a
+    and b; 1 at a leaf, which carries no weight."""
+    out = 1
+    for y in adjacent[x]:
+        if y != a and y != b:
+            out *= weights[(x, y)]
+    return out
+
+
+def branch_table(memo, adjacent, weights, v, u):
+    """What lies beyond the directed edge [v, u], memoised in ``memo``.
+
+    Maps every vertex x whose geodesic from v starts with [v, u] to the pair
+    (through, end): through is the product of the weights adjacent to the
+    interior of the path v...x and off it, end the product of x's own
+    weights off the path (1 at a leaf).  So l'(v, x) = through and
+    l(v, x) = (v's weights off u) * through * end.  The entries run over u,
+    then each branch at u in adjacency order.
+
+    Only weights beyond u, pointing away from v, are read, so the generator
+    can ask for a direction before the weights toward v are drawn.  A table
+    is stored only once it is complete.
+    """
+    table = memo.get((v, u))
+    if table is not None:
+        return table
+    table = {u: (1, _weights_off(adjacent, weights, u, v))}
+    for y in adjacent[u]:
+        if y == v:
+            continue
+        factor = _weights_off(adjacent, weights, u, v, y)
+        if len(adjacent[y]) == 1:  # a leaf: no table of its own
+            table[y] = (factor, 1)
+            continue
+        for x, (through, end) in branch_table(memo, adjacent, weights, u, y).items():
+            table[x] = (factor * through, end)
+    memo[(v, u)] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +328,7 @@ def edge_determinant(diagram: SpliceDiagram, edge) -> int:
         raise ValueError(f"edge ({a!r}, {b!r}) is not internal")
     if b not in diagram.neighbors(a):
         raise ValueError(f"({a!r}, {b!r}) is not an edge")
-    off = 1
-    for x, y in ((a, b), (b, a)):
-        for z in diagram.neighbors(x):
-            if z != y:
-                off *= diagram.weight(x, z)
+    off = diagram.weights_off(a, b) * diagram.weights_off(b, a)
     return diagram.weight(a, b) * diagram.weight(b, a) - off
 
 
@@ -410,11 +425,7 @@ class _Semigroups:
                 continue
             g_b = self._branches(y, b, i)[1][0]
             if g_b:
-                a = 1
-                for z in d.neighbors(y):
-                    if z != x and z != b:
-                        a *= d.weight(y, z)
-                parts.append((a * g_b, g_b, b))
+                parts.append((d.weights_off(y, x, b) * g_b, g_b, b))
         # largest generator first: its share has the fewest candidates
         parts.sort(reverse=True)
         gcds = [0] * (len(parts) + 1)
@@ -467,7 +478,7 @@ class ConditionReport(Record):
 
 def check_conditions(diagram: SpliceDiagram) -> ConditionReport:
     """The diagram's condition report, computed on the first call and kept
-    on the diagram, as its linking table is."""
+    on the diagram, as its branch tables are."""
     report = diagram._conditions
     if report is None:
         report = diagram._conditions = _condition_report(diagram)
@@ -582,13 +593,10 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
     leaves = [f"l{i + 1}" for i in range(n_leaves)]
     leaf_edges = list(zip(slots, leaves))
 
-    adjacency = {v: [] for v in nodes}
-    for a, b in node_edges:
+    adjacency = {x: [] for x in nodes + leaves}
+    for a, b in node_edges + leaf_edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    leaves_at = {v: [] for v in nodes}
-    for v, leaf in leaf_edges:
-        leaves_at[v].append(leaf)
 
     used = {v: [] for v in nodes}  # weights already placed around each node
 
@@ -615,25 +623,25 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
     # the reduced linking numbers beyond the edge, so the semigroup condition
     # holds by construction.  A direction (v -> u) only depends on weights at
     # vertices strictly beyond u, so processing directions by increasing
-    # size of the far subtree settles everything in one pass.
-    def far_nodes(v, u):
-        out, stack = {u}, [u]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if y != v and y not in out:
-                    out.add(y)
-                    stack.append(y)
-        return out
-
+    # number of nodes beyond settles everything in one pass.  Each node's
+    # parent in node_edges comes earlier in the node order, so subtree sizes
+    # add up from the last edge back.
+    subtree = {v: 1 for v in nodes}
+    for a, b in reversed(node_edges):
+        subtree[b] += subtree[a]
     directions = []
     for a, b in node_edges:
-        directions.append((a, b, far_nodes(a, b)))
-        directions.append((b, a, far_nodes(b, a)))
-    directions.sort(key=lambda t: len(t[2]))
+        directions.append((a, b, n_nodes - subtree[a]))
+        directions.append((b, a, subtree[a]))
+    directions.sort(key=lambda t: t[2])
 
-    for v, u, far in directions:
-        gens = sorted(_reduced_links_beyond(v, u, far, adjacency, leaves_at, weights))
+    tables = {}
+    for v, u, _ in directions:
+        gens = sorted(
+            through
+            for x, (through, _) in branch_table(tables, adjacency, weights, v, u).items()
+            if x not in used  # the leaves beyond
+        )
         value = None
         for _ in range(30):
             # keep internal weights comfortably above the largest generator so
@@ -653,42 +661,11 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
     # w(a,b)*w(b,a) - (a's weights off b)*(b's weights off a) is not positive
     # rejects the attempt before a diagram is built
     for a, b in node_edges:
-        w_ab, w_ba = weights[(a, b)], weights[(b, a)]
-        if w_ab * w_ba <= prod(used[a]) // w_ab * (prod(used[b]) // w_ba):
+        off = _weights_off(adjacency, weights, a, b) * _weights_off(adjacency, weights, b, a)
+        if weights[(a, b)] * weights[(b, a)] <= off:
             return None
 
     edges = [(v, leaf, weights[(v, leaf)], None) for v, leaf in leaf_edges]
     edges += [(a, b, weights[(a, b)], weights[(b, a)]) for a, b in node_edges]
     return SpliceDiagram(leaves, nodes, edges)
 
-
-def _reduced_links_beyond(v, u, far, adjacency, leaves_at, weights):
-    """Reduced linking numbers from v to each leaf beyond the edge [v, u].
-
-    Walks only the far subtree; every half-weight it reads points away from
-    v and is already fixed.
-    """
-    out = []
-    stack = [(u, v, 1)]
-    while stack:
-        x, came, carry = stack.pop()
-        for leaf in leaves_at[x]:
-            prod = carry
-            for other in leaves_at[x]:
-                if other != leaf:
-                    prod *= weights[(x, other)]
-            for y in adjacency[x]:
-                if y != came:
-                    prod *= weights[(x, y)]
-            out.append(prod)
-        for y in adjacency[x]:
-            if y == came:
-                continue
-            prod = carry
-            for leaf in leaves_at[x]:
-                prod *= weights[(x, leaf)]
-            for z in adjacency[x]:
-                if z != came and z != y:
-                    prod *= weights[(x, z)]
-            stack.append((y, x, prod))
-    return out

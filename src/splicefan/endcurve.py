@@ -322,20 +322,22 @@ class MonomialCurve(Record):
     exact: bool
 
 
-def torus_components(system: SpliceSystem, toward, leaves, nodes):
-    """Torus components of the binomial relations at ``nodes``, each node
-    having dropped its admissible monomial toward the vertex ``toward``.
+def torus_components(system: SpliceSystem, v, u):
+    """Torus components of the end-curve beyond the directed edge [v, u]:
+    the binomial relations at the nodes beyond u, each node having dropped
+    its admissible monomial toward v.
 
-    One coordinate per leaf of ``leaves``; returns the (solutions, exact)
-    pair of solve_binomial_torus.
+    One coordinate per leaf beyond u, in leaf order; returns the
+    (solutions, exact) pair of solve_binomial_torus.
     """
-    positions = [system.diagram.leaf_index(leaf) for leaf in leaves]
+    diagram = system.diagram
+    positions = [diagram.leaf_index(leaf) for leaf in diagram.leaves_beyond(v, u)]
     rows, consts = [], []
-    for v in nodes:
-        for rel in node_binomials(system, v, system.toward(v, toward)):
+    for x in diagram.nodes_beyond(v, u):
+        for rel in node_binomials(system, x, system.toward(x, v)):
             rows.append([rel.lhs[p] - rel.rhs[p] for p in positions])
             consts.append(rel.const)
-    return solve_binomial_torus(rows, consts, len(leaves))
+    return solve_binomial_torus(rows, consts, len(positions))
 
 
 def parameterize(ecs: EndCurveSystem) -> MonomialCurve:
@@ -344,7 +346,7 @@ def parameterize(ecs: EndCurveSystem) -> MonomialCurve:
     g = gcd_list(links)
     exponents = tuple(l // g for l in links)
     solutions, exact = torus_components(
-        ecs.system, rooted.root, rooted.others, ecs.system.diagram.nodes
+        ecs.system, rooted.root, rooted.diagram.neighbors(rooted.root)[0]
     )
     if len(solutions) != g:
         raise SolveFailed(

@@ -11,6 +11,8 @@ node whose equations combine to a single lowest-weight monomial
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -27,7 +29,13 @@ from .errors import (
 )
 from .exact import dot, gcd_list, kernel_basis, primitive, rref
 from .record import Record
-from .system import Polynomial, SpliceSystem, combination
+from .system import (
+    Polynomial,
+    SpliceSystem,
+    build_system,
+    combination,
+    node_certificate_combination,
+)
 
 RANK_TOL = 1e-9
 
@@ -293,8 +301,6 @@ def _tails_clear(system, v, w, kill, low):
 
 
 def _combination_coefficients(system, v, keep):
-    from .system import node_certificate_combination
-
     block = system.blocks[v]
     y = node_certificate_combination(system, v, set(keep))
     win = keep[0]
@@ -539,7 +545,7 @@ def smoothness_smoke(system: SpliceSystem, w, samples=10, seed=0) -> SmokeReport
         points = [_sample_log_point(system, cell, rng) for _ in range(samples)]
     except SpliceError:
         repaired = True
-        fixed = _repaired_system(diagram)
+        fixed = build_system(diagram)
         rng = random.Random(seed)
         points = [_sample_log_point(fixed, cell, rng) for _ in range(samples)]
 
@@ -560,16 +566,8 @@ def smoothness_smoke(system: SpliceSystem, w, samples=10, seed=0) -> SmokeReport
     )
 
 
-def _repaired_system(diagram):
-    from .system import build_system
-
-    return build_system(diagram)
-
-
 def _term_logs(poly, logz):
     """log of each term value at the point exp(logz); never overflows."""
-    import cmath
-
     return [
         cmath.log(complex(c)) + sum(e * lz for e, lz in zip(m, logz) if e)
         for m, c in poly.terms
@@ -577,8 +575,6 @@ def _term_logs(poly, logz):
 
 
 def _relative_residual(gens, logz):
-    import cmath
-
     worst = 0.0
     for g in gens:
         logs = _term_logs(g, logz)
@@ -591,8 +587,6 @@ def _relative_residual(gens, logz):
 def _log_jacobian_ratio(gens, logz):
     """Singular value ratio of the rows (z_l d/dz_l applied to each form),
     each row rescaled by its largest term so nothing overflows."""
-    import cmath
-
     import numpy as np
 
     n = len(logz)
@@ -615,9 +609,6 @@ def _log_jacobian_ratio(gens, logz):
 
 def _log_of(value):
     """Complex log of a Fraction or complex without float overflow."""
-    import cmath
-    import math
-
     if isinstance(value, Fraction):
         real = math.log(value.numerator if value > 0 else -value.numerator)
         real -= math.log(value.denominator)
@@ -636,8 +627,6 @@ def _center_logs(logs, directions):
 
 
 def _random_log_unit(rng):
-    import cmath
-
     return complex(0.2 * (rng.random() - 0.5), 2 * cmath.pi * rng.random())
 
 
@@ -652,21 +641,13 @@ def _sample_log_point(system: SpliceSystem, cell: CellLocation, rng):
     point = {}
     if diagram.is_leaf(a) or diagram.is_leaf(b):
         leaf, node = (a, b) if diagram.is_leaf(a) else (b, a)
-        point.update(
-            _end_curve_logs(
-                system, leaf, [l for l in diagram.leaves if l != leaf],
-                diagram.nodes, rng,
-            )
-        )
+        branch, _ = _branch_component(system, leaf, node, rng)
+        point.update(_curve_logs(branch, _random_log_unit(rng)))
         point[leaf] = _random_log_unit(rng)
     else:
         for near, far in ((a, b), (b, a)):
-            side = diagram.beyond(far, near)
-            side_nodes = [x for x in diagram.nodes if x in side]
-            side_leaves = [l for l in diagram.leaves if l in side]
-            point.update(
-                _end_curve_logs(system, far, side_leaves, side_nodes, rng)
-            )
+            branch, _ = _branch_component(system, far, near, rng)
+            point.update(_curve_logs(branch, _random_log_unit(rng)))
     logs = [point[l] for l in diagram.leaves]
     ray_a = (
         [float(x) for x in diagram.node_weight_vector(a)]
@@ -681,42 +662,33 @@ def _sample_log_point(system: SpliceSystem, cell: CellLocation, rng):
     return _center_logs(logs, [ray_a, ray_b])
 
 
-def _end_curve_logs(system, root_vertex, side_leaves, side_nodes, rng):
-    """Logs of a torus point on the end-curve toward ``root_vertex``."""
+def _branch_component(system, v, u, rng):
+    """A random torus component of the end-curve beyond the directed edge
+    [v, u] and the gcd g of the reduced linking numbers from v to its
+    leaves: {leaf: (log c_l, l'(v, leaf) / g)} over the leaves beyond u.
+    """
     diagram = system.diagram
-    if diagram.is_leaf(root_vertex):
-        links = {l: diagram.linking_number(root_vertex, l) for l in side_leaves}
-    else:
-        links = {l: diagram.reduced_linking(root_vertex, l) for l in side_leaves}
-    g = gcd_list(links.values())
-    index = {l: i for i, l in enumerate(side_leaves)}
-    coeffs = _component_choice(system, root_vertex, side_leaves, side_nodes, rng)
-    log_t = _random_log_unit(rng)
-    return {
-        l: _log_of(coeffs[index[l]]) + (links[l] // g) * log_t for l in side_leaves
-    }
+    leaves = diagram.leaves_beyond(v, u)
+    solutions, _ = torus_components(system, v, u)
+    coeffs = solutions[rng.randrange(len(solutions))]
+    links = [diagram.reduced_linking(v, l) for l in leaves]
+    g = gcd_list(links)
+    return {l: (_log_of(c), link // g) for l, c, link in zip(leaves, coeffs, links)}, g
 
 
-def _component_choice(system, root_vertex, side_leaves, side_nodes, rng):
-    solutions, _ = torus_components(system, root_vertex, side_leaves, side_nodes)
-    return solutions[rng.randrange(len(solutions))]
+def _curve_logs(branch, log_t):
+    """Logs of the branch's point c_l * t^(e_l) at t = exp(log_t)."""
+    return {l: log_c + e * log_t for l, (log_c, e) in branch.items()}
 
 
 def _sample_node_ray_logs(system, node, rng):
     """Glue branch end-curves through the Pham-Brieskorn-Hamm kernel at the node."""
     diagram = system.diagram
     block = system.blocks[node]
-    branch_data = {}
-    for u in block.star:
-        if diagram.is_node(u):
-            side = diagram.beyond(node, u)
-            side_nodes = [x for x in diagram.nodes if x in side]
-            side_leaves = [l for l in diagram.leaves if l in side]
-            links = {l: diagram.reduced_linking(node, l) for l in side_leaves}
-            g = gcd_list(links.values())
-            index = {l: i for i, l in enumerate(side_leaves)}
-            coeffs = _component_choice(system, node, side_leaves, side_nodes, rng)
-            branch_data[u] = (side_leaves, index, coeffs, g, links)
+    branches = {
+        u: _branch_component(system, node, u, rng)
+        for u in block.star if diagram.is_node(u)
+    }
 
     # the node's own equations are linear in y_e = z^(admissible exponent);
     # pick a random kernel vector of the transposed coefficient matrix
@@ -729,20 +701,18 @@ def _sample_node_ray_logs(system, node, rng):
 
     point = {}
     for j, u in enumerate(block.star):
-        exponent = block.exponents[j]
         if diagram.is_leaf(u):
             point[u] = _log_of(y[j]) / diagram.weight(node, u)
-        else:
-            side_leaves, index, coeffs, g, links = branch_data[u]
-            log_gamma = complex(0)
-            for l in side_leaves:
-                e = exponent[diagram.leaf_index(l)]
-                if e:
-                    log_gamma += e * _log_of(coeffs[index[l]])
-            n_e = diagram.weight(node, u) // g
-            log_t = (_log_of(y[j]) - log_gamma) / n_e
-            for l in side_leaves:
-                point[l] = _log_of(coeffs[index[l]]) + (links[l] // g) * log_t
+            continue
+        branch, g = branches[u]
+        exponent = block.exponents[j]
+        log_gamma = complex(0)
+        for l, (log_c, _) in branch.items():
+            e = exponent[diagram.leaf_index(l)]
+            if e:
+                log_gamma += e * log_c
+        n_e = diagram.weight(node, u) // g
+        point.update(_curve_logs(branch, (_log_of(y[j]) - log_gamma) / n_e))
     return [point[l] for l in diagram.leaves]
 
 

@@ -13,7 +13,6 @@ from splicefan import (
     build_system,
     random_coefficients,
     random_diagram,
-    root,
     splice_fan,
 )
 
@@ -125,9 +124,8 @@ def solve_inputs(system, leaf):
     from splicefan import endcurve
 
     captured = []
-    diagram = system.diagram
     with mock.patch.object(endcurve, "solve_binomial_torus", lambda *args: captured.append(args)):
-        endcurve.torus_components(system, leaf, root(diagram, leaf).others, diagram.nodes)
+        endcurve.torus_components(system, leaf, system.diagram.neighbors(leaf)[0])
     (inputs,) = captured
     return inputs
 

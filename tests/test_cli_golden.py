@@ -78,6 +78,7 @@ REFUSALS = [
     ["random", "--leaves", "3", "--nodes", "2", "--seed", "9"],  # 3: no such shape
     ["recover", "nonodefan.json"],                  # 1: no node ray
     ["recover", "zerofan_d1.json"],                 # 1: zero entry in a node ray
+    ["member", "d1.json", "--w-file", "ws_zero_d1.txt"],  # 1: a vector in the file is not positive
 ]
 
 
@@ -152,6 +153,7 @@ def build_corpus():
     files["det.json"] = json.dumps(_two_node_doc(1, 1), indent=2)
     files["semi.json"] = json.dumps(_two_node_doc(1, 100), indent=2)
     files["ws_d1.txt"] = "1,1,1,1,1\n147,98,60,84,210\n"
+    files["ws_zero_d1.txt"] = "1,1,1,1,1\n0,1,1,1,1\n"
     files["nonodefan.json"] = json.dumps({
         "n": 3,
         "rays": [{"label": x, "vector": [int(i == k) for i in range(3)]}

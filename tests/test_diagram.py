@@ -2,6 +2,7 @@
 
 import gc
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -345,3 +346,96 @@ def test_cone_decomposition(pool_small, d1):
                         assert value == expected and value > 0
                     else:
                         assert value == 0
+
+
+# -- the per-edge tables against their definitions ----------------------------
+
+DATA = Path(__file__).with_name("data")
+
+
+@pytest.fixture(scope="module")
+def table_pool(pool_small):
+    """pool_small, the recorded generator outputs and the 40-leaf document,
+    each loaded afresh so that no table is built before the test reads it."""
+    docs = [diagram_to_doc(d) for d in pool_small]
+    docs += [entry["diagram"] for entry in json.loads((DATA / "random_diagrams.json").read_text())]
+    docs.append(json.loads((DATA / "random_40_14_seed0.json").read_text()))
+    return [diagram_from_doc(doc) for doc in docs]
+
+
+def _weights_off_path(d, path, interior_only=False):
+    """Product of the weights at the path's vertices on edges off the path."""
+    on = set(path)
+    out = 1
+    for x in path[1:-1] if interior_only else path:
+        if d.is_node(x):
+            for y in d.neighbors(x):
+                if y not in on:
+                    out *= d.weight(x, y)
+    return out
+
+
+def test_linking_numbers_are_products_off_the_geodesic(table_pool):
+    for d in table_pool:
+        for u in d.vertices:
+            for v in d.vertices:
+                if u == v and d.is_leaf(u):
+                    continue
+                path = d.geodesic(u, v)
+                assert d.linking_number(u, v) == _weights_off_path(d, path)
+                assert d.reduced_linking(u, v) == _weights_off_path(d, path, True)
+        for v in d.nodes:
+            assert d.linking_number(v, v) == d.total_weight(v)
+
+
+def test_first_step_and_sides_follow_the_geodesic(table_pool):
+    for d in table_pool:
+        for v in d.vertices:
+            for x in d.vertices:
+                if x != v:
+                    assert d.first_step(v, x) == d.geodesic(v, x)[1]
+            for u in d.neighbors(v):
+                side = [x for x in d.vertices if x != v and u in d.geodesic(v, x)]
+                assert d.leaves_beyond(v, u) == [x for x in side if d.is_leaf(x)]
+                assert d.nodes_beyond(v, u) == [x for x in side if d.is_node(x)]
+
+
+def test_an_unknown_vertex_raises_key_error(d1):
+    for call in (
+        lambda: d1.linking_number("u", "nope"),
+        lambda: d1.linking_number("nope", "u"),
+        lambda: d1.reduced_linking("u", "nope"),
+        lambda: d1.reduced_linking("nope", "l1"),
+        lambda: d1.first_step("u", "nope"),
+        lambda: d1.first_step("nope", "u"),
+        lambda: d1.first_step("u", "u"),
+        lambda: d1.leaves_beyond("u", "nope"),
+        lambda: d1.leaves_beyond("nope", "u"),
+        lambda: d1.nodes_beyond("l1", "v"),
+    ):
+        with pytest.raises(KeyError):
+            call()
+
+
+def test_threads_reading_a_fresh_diagram_get_the_single_thread_values():
+    doc = json.loads((DATA / "random_40_14_seed0.json").read_text())
+
+    def every_linking_number(d):
+        return {(u, v): (d.linking_number(u, v), d.reduced_linking(u, v))
+                for u in d.vertices for v in d.vertices if u != v}
+
+    expected = every_linking_number(diagram_from_doc(doc))
+    shared = diagram_from_doc(doc)
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def read(k):
+        start.wait()
+        results[k] = every_linking_number(shared)
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(result == expected for result in results)

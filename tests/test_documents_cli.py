@@ -339,6 +339,22 @@ def test_cli_member_w_file(d1_path, tmp_path):
     assert [q["result"] for q in payload["queries"]] == ["out", "in"]
 
 
+@pytest.mark.parametrize("entry", ["0,1,1,1,1", "1,1,-2,1,1"])
+def test_cli_member_w_file_refuses_a_vector_that_is_not_positive(d1_path, tmp_path, entry):
+    path = tmp_path / "queries.txt"
+    path.write_text(f"1,1,1,1,1\n\n{entry}\n147,98,60,84,210\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "splicefan.cli", "member", d1_path, "--w-file", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["status"] == "violation"
+    assert report["payload"] == {"message": "weight vector on line 3 must be strictly positive"}
+
+
 def test_cli_member_refuses_w_with_w_file(d1_path, tmp_path):
     path = tmp_path / "queries.txt"
     path.write_text("1,1,1,1,1\n")
