@@ -3,7 +3,8 @@
 Every command reads JSON documents, runs one library operation and prints a
 CommandReport: {"command", "status", "payload"}.  Output bytes are a pure
 function of the inputs and flags.  Exit codes: 0 ok, 1 semantic refusal or
-violated condition, 2 unreadable input, 3 infeasible request.
+violated condition, 2 unreadable input, 3 infeasible request.  A diagram
+too deep for the recursion limit is refused with exit 1 and a report.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def main(argv=None) -> int:
     except _Refusal as refusal:
         _emit(args.command, refusal.status, refusal.payload)
         return refusal.code
-    except SpliceError as exc:
+    except (SpliceError, RecursionError) as exc:
         _emit(args.command, "error", {"error": type(exc).__name__, "message": str(exc)})
         return EXIT_REFUSED
     _emit(args.command, status, payload)

@@ -133,54 +133,46 @@ def _shift_guess(dot, weight):
         raise SolveFailed("kernel shift too large for a floating-point guess") from None
 
 
-def _reduce_column(column, kernels):
-    """Shrink an integer column in place by integer shifts along each
-    (kernel, weight), trying the five shifts around the float guess and
-    keeping the first of least l1 norm."""
-    for kernel, weight in kernels:
-        guess = _shift_guess(sum([c * k for c, k in zip(column, kernel)]), weight)
-        best, best_cost = 0, None
-        for t in range(guess - 2, guess + 3):
-            cost = sum([abs(c + t * k) for c, k in zip(column, kernel)])
-            if best_cost is None or cost < best_cost:
-                best, best_cost = t, cost
-        if best:
-            column[:] = [c + best * k for c, k in zip(column, kernel)]
+def _reduce_column(column, kernel, weight):
+    """Shrink an integer column in place by an integer shift along the
+    kernel (of squared length ``weight``), trying the five shifts around the
+    float guess and keeping the first of least l1 norm."""
+    guess = _shift_guess(sum([c * k for c, k in zip(column, kernel)]), weight)
+    best, best_cost = 0, None
+    for t in range(guess - 2, guess + 3):
+        cost = sum([abs(c + t * k) for c, k in zip(column, kernel)])
+        if best_cost is None or cost < best_cost:
+            best, best_cost = t, cost
+    if best:
+        column[:] = [c + best * k for c, k in zip(column, kernel)]
 
 
-def _exact_solution(u, v, rank, kappa, kernels):
+def _exact_solution(u, v, kappa, kernel, weight):
     """The rational solution x_k = prod_j kappa_j^(M[k][j]) of a unimodular
-    system, M = V_r U_r with its columns reduced along the kernels; None
-    when a coordinate's load (sum over j of |M[k][j]| times the bit size of
+    system, M = V_r U with its columns reduced along the kernel; None when
+    a coordinate's load (sum over j of |M[k][j]| times the bit size of
     kappa_j) passes 1500, too large to verify.
 
-    With one kernel vector (every end-curve) the columns are built and
-    reduced one at a time and the attempt stops at the first load past the
-    limit.  Every column's shift guess is taken first, from
-    u[:, j] . (V_r^T kernel), the same integer as the column's own dot
-    product, so a guess too large for a float is refused whether or not the
-    attempt would have stopped before its column.  With more kernels the
-    later guesses depend on the earlier shifts, so no column is skipped.
+    The columns are built and reduced one at a time and the attempt stops
+    at the first load past the limit.  Every column's shift guess is taken
+    first, from u[:, j] . (V_r^T kernel), the same integer as the column's
+    own dot product, so a guess too large for a float is refused whether or
+    not the attempt would have stopped before its column.
     """
     n_rows, width = len(u), len(v)
     bits = [c.numerator.bit_length() + c.denominator.bit_length() for c in kappa]
-    stop_early = len(kernels) <= 1
-    if len(kernels) == 1:
-        kernel, weight = kernels[0]
-        across = [sum(v[k][i] * kernel[k] for k in range(width)) for i in range(rank)]
-        for j in range(n_rows):
-            _shift_guess(sum(u[i][j] * across[i] for i in range(rank)), weight)
+    across = [sum(v[k][i] * kernel[k] for k in range(width)) for i in range(n_rows)]
+    for j in range(n_rows):
+        _shift_guess(sum(u[i][j] * across[i] for i in range(n_rows)), weight)
     load = [0] * width
     columns = []
     for j in range(n_rows):
-        column = [sum(v[k][i] * u[i][j] for i in range(rank)) for k in range(width)]
-        _reduce_column(column, kernels)
+        column = [sum(v[k][i] * u[i][j] for i in range(n_rows)) for k in range(width)]
+        _reduce_column(column, kernel, weight)
         columns.append(column)
         load = [l + abs(c) * bits[j] for l, c in zip(load, column)]
-        if stop_early and max(load) > 1500:
+        if max(load) > 1500:  # keep exact representatives small enough to verify
             return None
-    if max(load) > 1500:  # keep exact representatives small enough to verify
-        return None
     solution = []
     for k in range(width):
         value = Fraction(1)
@@ -194,44 +186,41 @@ def _exact_solution(u, v, rank, kappa, kernels):
 def solve_binomial_torus(rows, consts, width):
     """All components of {x in torus^width : x^row == const, row-wise}.
 
+    Takes only what an end-curve gives: width - 1 relations whose exponent
+    matrix has full rank, that is a nonzero Smith diagonal (Neumann and
+    Wahl's end-curve theorem), so its kernel is the line of V's last column;
+    any other input is refused with SolveFailed.
+
     Returns (solutions, exact): one solution per connected component, found
     through the Smith normal form; principal branch roots throughout, the
     finite component group enumerated by roots of unity.  ``exact`` is True
     when every solution is rational (stored as Fractions).
 
-    Representatives are normalised along the kernel of the exponent matrix
-    (integrally in the exact case, by log-centering in the numeric one) so
-    coefficients stay small.
+    Representatives are normalised along the kernel (integrally in the
+    exact case, by log-centering in the numeric one) so coefficients stay
+    small.
     """
-    if not rows:
-        return [tuple(Fraction(1) for _ in range(width))], True
+    if width < 2 or len(rows) != width - 1 or any(len(r) != width for r in rows):
+        raise SolveFailed(
+            f"not an end-curve system: {len(rows)} relations in {width} coordinates"
+        )
     u, s, v = smith_normal_form([list(r) for r in rows])
-    n_rows = len(rows)
-    diag = [s[i][i] for i in range(min(n_rows, width))]
-    rank = sum(1 for d in diag if d != 0)
     kappa = [Fraction(c) for c in consts]
     if any(c == 0 for c in kappa):
         raise SolveFailed("zero constant in a binomial relation")
-    if rank < n_rows:
-        logk = [cmath.log(complex(c)) for c in kappa]
-        for i in range(rank, n_rows):
-            if abs(sum(u[i][j] * logk[j] for j in range(n_rows))) > 1e-6:
-                raise SolveFailed("inconsistent binomial system")
-    kernels = []
-    for j in range(rank, width):
-        kernel = [v[k][j] for k in range(width)]
-        weight = sum(c * c for c in kernel)
-        if weight:
-            kernels.append((kernel, weight))
-
-    if all(d == 1 for d in diag[:rank]):
-        solution = _exact_solution(u, v, rank, kappa, kernels)
+    diag = [s[i][i] for i in range(width - 1)]
+    if not all(diag):
+        raise SolveFailed("binomial exponent matrix is rank-deficient")
+    kernel = [row[width - 1] for row in v]
+    weight = sum(c * c for c in kernel)
+    if all(d == 1 for d in diag):
+        solution = _exact_solution(u, v, kappa, kernel, weight)
         if solution is not None:
             return [solution], True
-    return _numeric_solutions(u, v, diag[:rank], kappa, kernels), False
+    return _numeric_solutions(u, v, diag, kappa, kernel, weight), False
 
 
-def _numeric_solutions(u, v, diag, kappa, kernels):
+def _numeric_solutions(u, v, diag, kappa, kernel, weight):
     """The components in log space at 60 digits (the Smith transforms can
     carry large integer entries that would amplify double-precision noise),
     with the exponent matrix reduced along the kernel first.
@@ -252,7 +241,7 @@ def _numeric_solutions(u, v, diag, kappa, kernels):
     width, rank = len(v), len(diag)
     exps = [[v[k][i] for k in range(width)] for i in range(rank)]  # columns
     for column in exps:
-        _reduce_column(column, kernels)
+        _reduce_column(column, kernel, weight)
 
     def log_int(n):
         return mpc_log((from_int(n, prec, rnd), fzero), prec, rnd)
@@ -278,7 +267,7 @@ def _numeric_solutions(u, v, diag, kappa, kernels):
     two_pi = mpf_mul_int(mpf_pi(prec, rnd), 2, prec, rnd)
     two_pi_i = mpc_mul_mpf((fzero, fone), two_pi, prec, rnd)
     exp_rows = [[column[k] for column in exps] for k in range(width)]
-    shift_kernels = [(kernel, from_int(weight)) for kernel, weight in kernels]
+    weight = from_int(weight)
     solutions = []
     for torsion in product(*(range(d) for d in diag)):
         logy = [
@@ -290,17 +279,16 @@ def _numeric_solutions(u, v, diag, kappa, kernels):
             for i, (y, t) in enumerate(zip(base_logy, torsion))
         ]
         logx = [combination(row, logy) for row in exp_rows]
-        for kernel, weight in shift_kernels:
-            total = None
-            for x, c in zip(logx, kernel):
-                if c:
-                    term = mpf_mul_int(x[0], c, prec, rnd)
-                    total = term if total is None else mpf_add(total, term, prec, rnd)
-            shift = mpf_div(mpf_neg(total, prec, rnd), weight, prec, rnd)
-            logx = [
-                mpc_add_mpf(x, mpf_mul_int(shift, c, prec, rnd), prec, rnd) if c else x
-                for x, c in zip(logx, kernel)
-            ]
+        total = None
+        for x, c in zip(logx, kernel):
+            if c:
+                term = mpf_mul_int(x[0], c, prec, rnd)
+                total = term if total is None else mpf_add(total, term, prec, rnd)
+        shift = mpf_div(mpf_neg(total, prec, rnd), weight, prec, rnd)
+        logx = [
+            mpc_add_mpf(x, mpf_mul_int(shift, c, prec, rnd), prec, rnd) if c else x
+            for x, c in zip(logx, kernel)
+        ]
         solutions.append(
             tuple(mpc_to_complex(mpc_exp(x, prec, rnd), False, rnd) for x in logx)
         )

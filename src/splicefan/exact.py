@@ -19,16 +19,6 @@ def gcd_list(values) -> int:
     return g
 
 
-def lcm_list(values) -> int:
-    out = 1
-    for v in values:
-        v = abs(v)
-        if v == 0:
-            return 0
-        out = out * v // gcd(out, v)
-    return out
-
-
 def primitive(vector):
     """Divide an integer vector by the gcd of its entries (gcd 0 -> error)."""
     g = gcd_list(vector)

@@ -1,33 +1,25 @@
 """Recovery of coprime splice diagrams from their weighted splice fans.
 
 With every tropical multiplicity equal to one, the weights around each node
-can be read off from gcds and lcms of node ray entries; pruning an end-node
-and solving an integral block system reduces to a smaller fan, and the star
-base case finishes.  Fans carrying a multiplicity other than one are
+can be read off from gcds and lcms of node ray entries: end-nodes are
+pruned one at a time, each by an exact division through its leaf block,
+until a star is left.  Fans carrying a multiplicity other than one are
 refused: distinct diagrams can share such a fan.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .diagram import SpliceDiagram, check_conditions, validate
 from .errors import NonCoprimeFan, NotRealizable, SolveFailed, VerificationFailed
-from .exact import gcd_list, lcm_list
-from .fan import Ray, SpliceFan, splice_fan
-
-
-def _link(fan: SpliceFan):
-    """The cone tree as adjacency sets: ray label -> labels sharing a cone."""
-    adjacency = {r.label: set() for r in fan.rays}
-    for cone in fan.cones:
-        a, b = cone.rays
-        if a not in adjacency or b not in adjacency:
-            raise NotRealizable(f"cone {cone.rays} uses an unknown ray")
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    return adjacency
+from .exact import gcd_list
+from .fan import SpliceFan, splice_fan
 
 
 def _check_fan_input(fan: SpliceFan):
+    """Refuse a malformed or non-coprime fan; return its cone tree as
+    adjacency sets, ray label -> labels sharing a cone."""
     n = fan.n
     if len(fan.ray_by_label) != len(fan.rays):
         raise NotRealizable("ray labels repeat")
@@ -50,7 +42,13 @@ def _check_fan_input(fan: SpliceFan):
     # the link of the fan must be a tree on the ray labels
     if len(fan.cones) != len(fan.rays) - 1:
         raise NotRealizable("cone count does not match a tree")
-    adjacency = _link(fan)
+    adjacency = {r.label: set() for r in fan.rays}
+    for cone in fan.cones:
+        a, b = cone.rays
+        if a not in adjacency or b not in adjacency:
+            raise NotRealizable(f"cone {cone.rays} uses an unknown ray")
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     seen = set()
     stack = [fan.rays[0].label]
     while stack:
@@ -68,6 +66,7 @@ def _check_fan_input(fan: SpliceFan):
         raise NonCoprimeFan(
             "a multiplicity differs from one; recovery would be ambiguous"
         )
+    return adjacency
 
 
 def recover_star(w) -> SpliceDiagram:
@@ -95,14 +94,12 @@ def recover_star(w) -> SpliceDiagram:
 def recover(fan: SpliceFan) -> SpliceDiagram:
     """Reconstruct the unique coprime diagram whose splice fan is the input.
 
-    Recursive pruning: at an end-node u read d(u, v) and the total weight
-    from the gcd/lcm of u's ray entries at its own leaves, replace u's leaf
-    block by a single new coordinate, divide the remaining node rays through
-    the prune matrix, and recurse; single-node fans are stars.  The result
-    is verified by rebuilding its fan.
+    Prunes end-nodes one at a time, in one loop (see ``_recover_tree``),
+    until a star is left, and builds the diagram once from the fan's cones.
+    The result is verified by rebuilding its fan.
     """
-    _check_fan_input(fan)
-    diagram = _recover_tree(fan)
+    adjacency = _check_fan_input(fan)
+    diagram = _recover_tree(fan, adjacency)
     if validate(diagram):
         raise VerificationFailed("recovered object is not a valid splice diagram")
     report = check_conditions(diagram)
@@ -121,81 +118,55 @@ def _unordered(fan: SpliceFan):
     )
 
 
-def _recover_tree(fan: SpliceFan) -> SpliceDiagram:
-    leaves = fan.leaf_labels()
-    nodes = fan.node_labels()
-    adjacency = _link(fan)
+def _recover_tree(fan: SpliceFan, adjacency) -> SpliceDiagram:
+    """Read every half-edge weight by pruning the smallest-labelled end-node.
 
-    if len(nodes) == 1:
-        node = nodes[0]
-        star = recover_star(fan.ray_by_label[node].vector)
-        edges = [
-            (node, leaf, star.weight(star.nodes[0], inner), None)
-            for leaf, inner in zip(leaves, star.leaves)
-        ]
-        return SpliceDiagram(leaves, [node], edges)
-
-    node_set = set(nodes)
-    end_nodes = sorted(
-        u for u in nodes if len(adjacency[u] & node_set) == 1
+    ``coords`` are the current coordinates and ``vectors`` each remaining
+    node's ray keyed by them.  The end-node u next to v has the leaf block
+    B of its coordinates; the gcd and lcm of u's entries on B are d(u, v)
+    and u's total weight toward B, whose quotients by the entries are u's
+    leaf weights.  Pruning u replaces B by one coordinate u, in the slot of
+    B's first member, and divides every other node's entries on B by u's
+    entries over d(u, v): all of them must give one integer, its entry at u.
+    The last node is a star.
+    """
+    leaves, nodes = fan.leaf_labels(), fan.node_labels()
+    coords = list(leaves)
+    vectors = {x: dict(zip(leaves, fan.ray_by_label[x].vector)) for x in nodes}
+    weights = {}
+    while len(vectors) > 1:
+        u = min(x for x in vectors if len(adjacency[x] & vectors.keys()) == 1)
+        (v,) = adjacency[u] & vectors.keys()
+        block = [c for c in coords if c in adjacency[u]]
+        if not block:
+            raise NotRealizable(f"end-node {u!r} has no leaves")
+        ray = vectors.pop(u)
+        entries = [ray[c] for c in block]
+        d_uv, d_u = gcd(*entries), lcm(*entries)
+        weights.update({(u, c): d_u // e for c, e in zip(block, entries)})
+        weights[(u, v)] = d_uv
+        columns = [e // d_uv for e in entries]
+        for vec in vectors.values():
+            t = None
+            for c, column in zip(block, columns):
+                q, r = divmod(vec[c], column)
+                if r:
+                    raise SolveFailed(f"no integral preimage for ray entry at {c!r}")
+                if t is not None and q != t:
+                    raise SolveFailed("inconsistent preimage across the pruned block")
+                t = q
+            vec[u] = t
+        coords[coords.index(block[0])] = u
+        coords = [c for c in coords if c not in block]
+    ((last, vec),) = vectors.items()
+    star = recover_star([vec[c] for c in coords])
+    weights.update(
+        {(last, c): star.weight(star.nodes[0], inner) for c, inner in zip(coords, star.leaves)}
     )
-    u = end_nodes[0]
-    v = next(iter(adjacency[u] & node_set))
-    u_leaves = sorted(adjacency[u] - {v}, key=leaves.index)
-    if not u_leaves:
-        raise NotRealizable(f"end-node {u!r} has no leaves")
-    w_u = fan.ray_by_label[u].vector
-    positions = {leaf: i for i, leaf in enumerate(leaves)}
-    entries = [w_u[positions[l]] for l in u_leaves]
-    d_uv = gcd_list(entries)
-    d_u = lcm_list(entries)
-    u_weights = {l: d_u // e for l, e in zip(u_leaves, entries)}
-
-    # pruned fan: u becomes a leaf occupying the slot of its leaf block
-    kept = [l for l in leaves if l not in u_leaves]
-    new_leaves = sorted(kept + [u], key=lambda l: positions.get(l, positions[u_leaves[0]]))
-    new_positions = {l: i for i, l in enumerate(new_leaves)}
-    first_col = {positions[l]: w_u[positions[l]] // d_uv for l in u_leaves}
-
-    def prune_vector(vec):
-        out = [0] * len(new_leaves)
-        t = None
-        for l in u_leaves:
-            p = positions[l]
-            col = first_col[p]
-            if vec[p] % col:
-                raise SolveFailed(f"no integral preimage for ray entry at {l!r}")
-            value = vec[p] // col
-            if t is None:
-                t = value
-            elif t != value:
-                raise SolveFailed("inconsistent preimage across the pruned block")
-        out[new_positions[u]] = t
-        for l in kept:
-            out[new_positions[l]] = vec[positions[l]]
-        return tuple(out)
-
-    new_rays = [Ray(l, tuple(int(x == l) for x in new_leaves)) for l in new_leaves]
-    new_rays += [
-        Ray(x, prune_vector(fan.ray_by_label[x].vector)) for x in nodes if x != u
+    edges = [
+        (a, b, weights.get((a, b)), weights.get((b, a)))
+        for a, b in (cone.rays for cone in fan.cones)
     ]
-    new_cones = [c for c in fan.cones if not set(c.rays) & set(u_leaves)]
-    inner = _recover_tree(SpliceFan(new_rays, new_cones))
-
-    # graft the star of u back onto the recovered smaller diagram
-    edges = []
-    for a, b in inner.edges():
-        wa = inner._weights.get((a, b))
-        wb = inner._weights.get((b, a))
-        if a == u or b == u:
-            # u turns back into a node; its weight toward v is d_uv
-            if a == u:
-                wa = d_uv
-            else:
-                wb = d_uv
-        edges.append((a, b, wa, wb))
-    for l in u_leaves:
-        edges.append((u, l, u_weights[l], None))
     return SpliceDiagram(leaves, nodes, edges)
 
 
@@ -212,7 +183,7 @@ def diagrams_isomorphic(a: SpliceDiagram, b: SpliceDiagram) -> bool:
         mapping[x] = target
     for leaf in a.leaves:
         mapping[leaf] = leaf
-    for x, y, *_ in a._raw_edges:
+    for x, y in a.edges():
         mx, my = mapping[x], mapping[y]
         if my not in b.neighbors(mx):
             return False

@@ -315,6 +315,39 @@ def test_cli_endcurve_past_the_ladder_reports_instead_of_crashing(leaf):
         assert report["status"] == "ok"
 
 
+def _chain_doc(length):
+    """A path of ``length`` nodes, one leaf at each node and two at each end."""
+    nodes = [f"n{i}" for i in range(1, length + 1)]
+    leaves, edges = [], []
+    for i, node in enumerate(nodes):
+        for weight in (2, 3) if i in (0, length - 1) else (2,):
+            leaves.append(f"l{len(leaves) + 1}")
+            edges.append({"a": node, "b": leaves[-1], "wa": weight})
+    edges += [{"a": a, "b": b, "wa": 1, "wb": 1} for a, b in zip(nodes, nodes[1:])]
+    return {"leaves": leaves, "nodes": nodes, "edges": edges}
+
+
+@pytest.fixture(scope="module")
+def chain_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("docs") / "chain.json"
+    path.write_text(json.dumps(_chain_doc(1200)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "fan", "roundtrip"])
+def test_cli_refuses_a_diagram_deeper_than_the_recursion_limit(chain_path, command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "splicefan.cli", command, chain_path],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["command"] == command and report["status"] == "error"
+    assert report["payload"]["error"] == "RecursionError"
+
+
 def test_cli_system_and_initial(d1_path):
     code1, out1 = run_cli("system", d1_path)
     code2, out2 = run_cli("system", d1_path)

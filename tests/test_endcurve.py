@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import solve_inputs, system_for
+from conftest import LADDER, solve_inputs, system_for
 from splicefan import (
     EliminationDegenerate,
     MonomialCurve,
@@ -31,7 +31,7 @@ from splicefan import (
 from splicefan.documents import diagram_from_doc, diagram_to_doc
 from splicefan.endcurve import node_binomials, solve_binomial_torus
 from splicefan.errors import SolveFailed
-from splicefan.exact import nullspace_one, rref, smith_normal_form
+from splicefan.exact import gcd_list, nullspace_one, rref, smith_normal_form
 
 F = Fraction
 
@@ -519,6 +519,41 @@ def test_solve_matches_the_context_reference_with_torsion():
 
 DIAGRAM_40 = Path(__file__).with_name("data") / "random_40_14_seed0.json"
 OUTCOMES_40 = Path(__file__).with_name("data") / "random_40_14_seed0_endcurves.json"
+
+
+def test_every_end_curve_kernel_is_the_last_column_of_v():
+    """The one-kernel solve rests on this: at every root of the ladder
+    diagrams and of the 40-leaf document, the exponent matrix is
+    (w - 1) x w with a nonzero Smith diagonal, and V's last column is, up
+    to sign, the curve's primitive exponents l(root, .) / g."""
+    diagrams = [random_diagram(n, k, seed) for n, k in LADDER for seed in (0, 1, 2)]
+    diagrams.append(diagram_from_doc(json.loads(DIAGRAM_40.read_text())))
+    roots = 0
+    for d in diagrams:
+        system = build_system(d)
+        for leaf in d.leaves:
+            rows, _, width = solve_inputs(system, leaf)
+            _, smith, v = smith_normal_form(rows)
+            assert len(rows) == width - 1 and all(smith[i][i] for i in range(width - 1))
+            links = root(d, leaf).links()
+            exponents = [link // gcd_list(links) for link in links]
+            last = [row[-1] for row in v]
+            assert last in (exponents, [-e for e in exponents]), (leaf, last)
+            roots += 1
+    assert roots == 486 + 40
+
+
+@pytest.mark.parametrize("rows, width", [
+    pytest.param([[2, -1, 0], [4, -2, 0]], 3, id="rank-deficient"),
+    pytest.param([[2, -1, 0], [0, 0, 0]], 3, id="zero-row"),
+    pytest.param([[2, -1, 0]], 3, id="too-few-rows"),
+    pytest.param([[2, -1], [0, 3], [1, 1]], 2, id="too-many-rows"),
+    pytest.param([[2, -1, 0], [0, 3]], 3, id="short-row"),
+    pytest.param([], 1, id="no-relation"),
+])
+def test_solve_refuses_what_is_not_an_end_curve_system(rows, width):
+    with pytest.raises(SolveFailed):
+        solve_binomial_torus(rows, [F(1)] * len(rows), width)
 
 
 def test_forty_leaf_roots_refuse_as_recorded():

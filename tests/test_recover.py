@@ -1,4 +1,16 @@
-"""Recovery of coprime diagrams from weighted fans."""
+"""Recovery of coprime diagrams from weighted fans.
+
+``data/recover_mutant_outcomes.json`` pins what ``recover`` answers on
+seeded mutants of the fans of ``data/random_diagrams.json``: "ok", or the
+class and message of its refusal.  Regenerate it only when a change of
+outcome is intended:
+
+    PYTHONPATH=src python tests/test_recover.py
+"""
+
+import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +27,11 @@ from splicefan import (
     roundtrip,
     splice_fan,
 )
+from splicefan.documents import diagram_from_doc
+
+DATA = Path(__file__).with_name("data")
+MUTANT_OUTCOMES = DATA / "recover_mutant_outcomes.json"
+MUTANTS_PER_FAN = 4
 
 
 def test_recover_star_golden():
@@ -122,6 +139,11 @@ NOT_NON_NEGATIVE = "ray 'u' is not a nonzero non-negative vector"
                  "the fan has no node ray", id="no-node-ray"),
     pytest.param(_d1(u=(0, 3, 1, 1, 1), v=(1, 1, 2, 3, 5)),
                  "node ray 'u' is not strictly positive", id="zero-entry-at-node"),
+    # node v carries no leaf, and pruning u leaves it the one coordinate (1)
+    pytest.param(_fan({"l1": (1, 0, 0), "l2": (0, 1, 0), "l3": (0, 0, 1),
+                       "u": (1, 1, 1), "v": (1, 1, 1)},
+                      (("u", "l1"), ("u", "l2"), ("u", "l3"), ("u", "v"))),
+                 "need at least three strictly positive entries", id="leafless-node"),
 ])
 def test_recover_refuses_each_malformed_fan(fan, message):
     with pytest.raises(NotRealizable) as info:
@@ -186,3 +208,46 @@ def test_distinct_diagrams_have_distinct_fans(pool_coprime):
             assert diagrams_isomorphic(seen[key], d)
         else:
             seen[key] = d
+
+
+def _mutant_fans():
+    """Per recorded diagram, MUTANTS_PER_FAN copies of its fan, each with one
+    node-ray entry x set to 2x or 3x, plus 0 or 1 (seeded by the index)."""
+    recorded = json.loads((DATA / "random_diagrams.json").read_text())
+    for index, entry in enumerate(recorded):
+        fan = splice_fan(diagram_from_doc(entry["diagram"]))
+        rng = random.Random(index)
+        for _ in range(MUTANTS_PER_FAN):
+            label = rng.choice(fan.node_labels())
+            at = rng.randrange(fan.n)
+            rays = []
+            for ray in fan.rays:
+                vector = list(ray.vector)
+                if ray.label == label:
+                    vector[at] = vector[at] * rng.choice((2, 3)) + rng.choice((0, 1))
+                rays.append(Ray(ray.label, tuple(vector)))
+            yield SpliceFan(rays, fan.cones)
+
+
+def _outcome(fan):
+    try:
+        recover(fan)
+    except Exception as exc:  # the class and message are the outcome
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def _mutant_outcomes():
+    return [_outcome(fan) for fan in _mutant_fans()]
+
+
+def test_recover_answers_mutated_fans_as_recorded():
+    recorded = json.loads(MUTANT_OUTCOMES.read_text())
+    assert recorded["mutants_per_fan"] == MUTANTS_PER_FAN
+    assert _mutant_outcomes() == recorded["outcomes"]
+
+
+if __name__ == "__main__":
+    MUTANT_OUTCOMES.write_text(json.dumps(
+        {"mutants_per_fan": MUTANTS_PER_FAN, "outcomes": _mutant_outcomes()}, indent=0
+    ) + "\n")
