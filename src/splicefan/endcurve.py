@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import product
-from math import inf
+from math import inf, lcm
 
 from .diagram import SpliceDiagram
 from .errors import EliminationDegenerate, SolveFailed
@@ -21,6 +21,11 @@ from .record import Record
 from .system import Polynomial, SpliceSystem
 
 NUMERIC_TOL = 1e-9
+
+# parameterize lists one coefficient vector per component, so it refuses a
+# root with more components than this before solving.  The tests, the golden
+# corpus and the benchmark ladder reach g = 1,922 at most.
+MAX_COMPONENTS = 10_000
 
 
 class RootedDiagram(Record):
@@ -194,7 +199,10 @@ def solve_binomial_torus(rows, consts, width):
     Returns (solutions, exact): one solution per connected component, found
     through the Smith normal form; principal branch roots throughout, the
     finite component group enumerated by roots of unity.  ``exact`` is True
-    when every solution is rational (stored as Fractions).
+    when every solution is rational (stored as Fractions).  Otherwise the
+    solutions are complex: the constants are rational, so each coefficient
+    is a floating modulus times e^(i pi q) with q an exact rational, and a
+    real coefficient has imaginary part 0.0.
 
     Representatives are normalised along the kernel (integrally in the
     exact case, by log-centering in the numeric one) so coefficients stay
@@ -221,30 +229,36 @@ def solve_binomial_torus(rows, consts, width):
 
 
 def _numeric_solutions(u, v, diag, kappa, kernel, weight):
-    """The components in log space at 60 digits (the Smith transforms can
-    carry large integer entries that would amplify double-precision noise),
-    with the exponent matrix reduced along the kernel first.
+    """The components x_k = |x_k| * e^(i pi q_k), with the exponent matrix
+    reduced along the kernel first.
 
-    The arithmetic is mpmath's raw ``libmp`` functions, called in the order
-    that the context-level expressions would call them, so the bits are
-    those of a 60-digit mpmath context; a term with a zero integer
-    coefficient is skipped, which changes nothing, as every term is already
-    rounded and adding a zero returns it unchanged.
+    Only the modulus is floating: log |x| is solved at 60 digits (the Smith
+    transforms can carry large integer entries that would amplify
+    double-precision noise) with mpmath's raw ``libmp`` functions, called
+    in the order that the context-level expressions would call them on the
+    real parts, so the bits are those of a 60-digit mpmath context; a term
+    with a zero integer coefficient is skipped, which changes nothing, as
+    every term is already rounded and adding a zero returns it unchanged.
+    The torsion term is imaginary, so one modulus serves every component.
+
+    The phase is exact: q_k = p_k / L with L the lcm of the Smith diagonal
+    and p_k an integer mod 2L, read from the signs of the constants, U's
+    rows, the torsion 2 t_i / d_i and the reduced columns of V.  Integer
+    and half-integer q give exact signs and zeros.
     """
     from mpmath.libmp import (
-        from_int, fone, fzero, mpc_add, mpc_add_mpf, mpc_div_mpf, mpc_exp,
-        mpc_log, mpc_mul_int, mpc_mul_mpf, mpc_sub, mpc_to_complex, mpf_add,
-        mpf_div, mpf_mul_int, mpf_neg, mpf_pi,
+        from_int, from_rational, fzero, mpf_add, mpf_cos_sin_pi, mpf_div, mpf_exp,
+        mpf_log, mpf_mul, mpf_mul_int, mpf_neg, mpf_sub, to_float,
     )
 
     prec, rnd = 203, "n"  # mpmath's 60 digits, rounding to nearest
-    width, rank = len(v), len(diag)
-    exps = [[v[k][i] for k in range(width)] for i in range(rank)]  # columns
+    width = len(v)
+    exps = [[v[k][i] for k in range(width)] for i in range(len(diag))]  # columns
     for column in exps:
         _reduce_column(column, kernel, weight)
 
-    def log_int(n):
-        return mpc_log((from_int(n, prec, rnd), fzero), prec, rnd)
+    def log_abs(n):
+        return mpf_log(from_int(abs(n), prec, rnd), prec, rnd)
 
     def combination(coefficients, values):
         """sum(c * x) over the nonzero integer coefficients c, as Python's
@@ -252,46 +266,46 @@ def _numeric_solutions(u, v, diag, kappa, kernel, weight):
         total = None
         for c, x in zip(coefficients, values):
             if c:
-                term = mpc_mul_int(x, c, prec, rnd)
-                total = term if total is None else mpc_add(total, term, prec, rnd)
-        return (fzero, fzero) if total is None else total
+                term = mpf_mul_int(x, c, prec, rnd)
+                total = term if total is None else mpf_add(total, term, prec, rnd)
+        return fzero if total is None else total
 
-    logk = [
-        mpc_sub(log_int(c.numerator), log_int(c.denominator), prec, rnd) for c in kappa
+    logk = [mpf_sub(log_abs(c.numerator), log_abs(c.denominator), prec, rnd) for c in kappa]
+    logy = [mpf_div(combination(row, logk), from_int(d), prec, rnd) for row, d in zip(u, diag)]
+    logx = [combination([column[k] for column in exps], logy) for k in range(width)]
+    shift = mpf_div(mpf_neg(combination(kernel, logx), prec, rnd), from_int(weight), prec, rnd)
+    moduli = [
+        mpf_exp(mpf_add(x, mpf_mul_int(shift, c, prec, rnd), prec, rnd) if c else x,
+                prec + 4, rnd)
+        for x, c in zip(logx, kernel)
     ]
-    divisors = [from_int(d) for d in diag]
-    base_logy = [
-        mpc_div_mpf(combination(u[i], logk), divisors[i], prec, rnd) for i in range(rank)
-    ]
-    # 2 * pi * i, as the context evaluates 2 * ctx.pi * ctx.mpc(0, 1)
-    two_pi = mpf_mul_int(mpf_pi(prec, rnd), 2, prec, rnd)
-    two_pi_i = mpc_mul_mpf((fzero, fone), two_pi, prec, rnd)
-    exp_rows = [[column[k] for column in exps] for k in range(width)]
-    weight = from_int(weight)
+
+    # arg y_i = pi (sum_j u_ij [kappa_j < 0] + 2 t_i) / d_i, and arg x_k is
+    # the reduced V row's combination of them: pi p_k / L, L = order
+    order = lcm(*diag)
+    steps = [[c * (order // d) for c in column] for column, d in zip(exps, diag)]
+    negative = [sum(c for c, const in zip(row, kappa) if const < 0) for row in u]
+    values = {}
+
+    def value(k, p):
+        """x_k at the phase pi p / L, rounded as mpmath's exp rounds it."""
+        z = values.get((k, p))
+        if z is None:
+            # exact (1, 0), (-1, 0), (0, 1) and (0, -1) at integer and half-integer p / L
+            cos, sin = mpf_cos_sin_pi(from_rational(p, order, prec + 4, rnd), prec + 4, rnd)
+            z = values[k, p] = complex(
+                to_float(mpf_mul(moduli[k], cos, prec, rnd), False, rnd),
+                to_float(mpf_mul(moduli[k], sin, prec, rnd), False, rnd),
+            )
+        return z
+
     solutions = []
     for torsion in product(*(range(d) for d in diag)):
-        logy = [
-            mpc_add(
-                y,
-                mpc_div_mpf(mpc_mul_int(two_pi_i, t, prec, rnd), divisors[i], prec, rnd),
-                prec, rnd,
-            ) if t else y
-            for i, (y, t) in enumerate(zip(base_logy, torsion))
-        ]
-        logx = [combination(row, logy) for row in exp_rows]
-        total = None
-        for x, c in zip(logx, kernel):
-            if c:
-                term = mpf_mul_int(x[0], c, prec, rnd)
-                total = term if total is None else mpf_add(total, term, prec, rnd)
-        shift = mpf_div(mpf_neg(total, prec, rnd), weight, prec, rnd)
-        logx = [
-            mpc_add_mpf(x, mpf_mul_int(shift, c, prec, rnd), prec, rnd) if c else x
-            for x, c in zip(logx, kernel)
-        ]
-        solutions.append(
-            tuple(mpc_to_complex(mpc_exp(x, prec, rnd), False, rnd) for x in logx)
-        )
+        turns = [n + 2 * t for n, t in zip(negative, torsion)]
+        solutions.append(tuple(
+            value(k, sum([t * step[k] for t, step in zip(turns, steps)]) % (2 * order))
+            for k in range(width)
+        ))
     return solutions
 
 
@@ -333,6 +347,8 @@ def parameterize(ecs: EndCurveSystem) -> MonomialCurve:
     links = rooted.links()
     g = gcd_list(links)
     exponents = tuple(l // g for l in links)
+    if g > MAX_COMPONENTS:
+        raise SolveFailed(f"{g} components exceed the bound of {MAX_COMPONENTS}")
     solutions, exact = torus_components(
         ecs.system, rooted.root, rooted.diagram.neighbors(rooted.root)[0]
     )

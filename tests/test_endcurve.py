@@ -2,10 +2,13 @@
 
 import cmath
 import functools
+import itertools
 import json
+import math
 import random
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +25,7 @@ from splicefan import (
     build_system,
     cli,
     end_curve_system,
+    endcurve,
     parameterize,
     random_coefficients,
     random_diagram,
@@ -348,7 +352,7 @@ def test_numeric_solves_agree_across_threads():
 
 
 # ---------------------------------------------------------------------------
-# The solve against the context-level mpmath code it replaced
+# The solve against context-level mpmath references
 # ---------------------------------------------------------------------------
 
 def _reduce_columns_reference(mat, kernels):
@@ -384,10 +388,45 @@ def _context():
     return ctx
 
 
-def _solve_reference(rows, consts, width):
+def _reference_phases(rows, consts, width):
+    """Every component's phases q_k (Fractions mod 2, x_k = |x_k| e^(i pi q_k)),
+    in torsion order: log kappa_j has imaginary part pi [kappa_j < 0],
+    log y_i = (U log kappa)_i / d_i + 2 pi i t_i / d_i, and log x is the
+    kernel-reduced V columns' combination of log y."""
+    u, s, v = smith_normal_form([list(r) for r in rows])
+    diag = [s[i][i] for i in range(width - 1)]
+    exps = [[v[k][i] for i in range(width - 1)] for k in range(width)]
+    _reduce_columns_reference(exps, [[row[width - 1] for row in v]])
+    negative = [sum(c for c, const in zip(row, consts) if const < 0) for row in u]
+    return [
+        tuple(
+            sum(
+                (Fraction(exps[k][i] * (negative[i] + 2 * t), diag[i])
+                 for i, t in enumerate(torsion)),
+                Fraction(0),
+            ) % 2
+            for k in range(width)
+        )
+        for torsion in itertools.product(*(range(d) for d in diag))
+    ]
+
+
+def _polar(modulus, q):
+    """modulus * e^(i pi q) on the 60-digit context, q a Fraction."""
+    ctx = _context()
+    x = ctx.mpf(q.numerator) / q.denominator
+    return complex(float(modulus * ctx.cospi(x)), float(modulus * ctx.sinpi(x)))
+
+
+def _solve_reference(rows, consts, width, exact_phase=False):
     """solve_binomial_torus as it was written on a 60-digit mpmath context:
     the whole exact attempt first, then every numeric step as an mpf/mpc
-    expression, zero coefficients included."""
+    expression, zero coefficients included.
+
+    By default each coefficient is the complex exponential of its log, so
+    the phase passes through floating point; that value is the oracle for
+    the moduli.  With ``exact_phase`` each coefficient is ctx.exp of the
+    log's real part turned by the exact phase of _reference_phases."""
     if not rows:
         return [tuple(Fraction(1) for _ in range(width))], True
     u, s, v = smith_normal_form([list(r) for r in rows])
@@ -426,6 +465,7 @@ def _solve_reference(rows, consts, width):
     ctx = _context()
     exps = [[v[k][i] for i in range(rank)] for k in range(width)]
     _reduce_columns_reference(exps, kernels)
+    phases = _reference_phases(rows, consts, width) if exact_phase else None
     logk_mp = [
         ctx.log(ctx.mpc(c.numerator)) - ctx.log(ctx.mpc(c.denominator)) for c in kappa
     ]
@@ -446,7 +486,11 @@ def _solve_reference(rows, consts, width):
                 continue
             shift = -sum(logx[k].real * kernel[k] for k in range(width)) / weight
             logx = [logx[k] + shift * kernel[k] for k in range(width)]
-        solutions.append(tuple(complex(ctx.exp(val)) for val in logx))
+        if phases is None:
+            solutions.append(tuple(complex(ctx.exp(val)) for val in logx))
+        else:
+            turns = phases[len(solutions)]
+            solutions.append(tuple(_polar(ctx.exp(val.real), q) for val, q in zip(logx, turns)))
 
     def expand(prefix, level):
         if level == rank:
@@ -470,10 +514,30 @@ def _bits(solutions):
 def _same_solve(rows, consts, width):
     """Solve with both; return whether the reference took the numeric branch."""
     solutions, exact = solve_binomial_torus(rows, consts, width)
-    expected, expected_exact = _solve_reference(rows, consts, width)
+    expected, expected_exact = _solve_reference(rows, consts, width, exact_phase=True)
     assert exact == expected_exact, rows
     assert _bits(solutions) == _bits(expected), rows
     return not exact
+
+
+def _same_real_parts(rows, consts, width):
+    """The solve's real parts are those of the complex-exponential reference."""
+    solutions, _ = solve_binomial_torus(rows, consts, width)
+    expected, _ = _solve_reference(rows, consts, width)
+    real = [[repr(complex(c).real) for c in comp] for comp in solutions]
+    assert real == [[repr(complex(c).real) for c in comp] for comp in expected], rows
+
+
+def _golden_end_curve_inputs():
+    """The solve inputs of every answered endcurve command of the golden corpus."""
+    golden = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
+    for case in golden["cases"]:
+        argv = case["argv"]
+        if argv[0] != "endcurve" or case["exit"] != 0:
+            continue
+        diagram = diagram_from_doc(json.loads(golden["files"][argv[1]]))
+        seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else None
+        yield solve_inputs(system_for(diagram, seed), argv[3])
 
 
 def test_solve_matches_the_context_reference_on_the_ladder(ladder_solves):
@@ -482,17 +546,11 @@ def test_solve_matches_the_context_reference_on_the_ladder(ladder_solves):
 
 
 def test_solve_matches_the_context_reference_on_the_golden_corpus():
-    golden = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
     numeric = 0
-    for case in golden["cases"]:
-        argv = case["argv"]
-        if argv[0] != "endcurve" or case["exit"] != 0:
-            continue
-        diagram = diagram_from_doc(json.loads(golden["files"][argv[1]]))
-        seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else None
-        system = system_for(diagram, seed)
-        numeric += _same_solve(*solve_inputs(system, argv[3]))
-    assert numeric >= 40, numeric
+    for inputs in _golden_end_curve_inputs():
+        numeric += _same_solve(*inputs)
+        _same_real_parts(*inputs)
+    assert numeric == 46, numeric
 
 
 def test_solve_matches_the_context_reference_with_torsion():
@@ -515,6 +573,70 @@ def test_solve_matches_the_context_reference_with_torsion():
             roots += 1
             two_torsion += sum(d > 1 for d in diag) > 1
     assert roots >= 20 and two_torsion >= 3, (roots, two_torsion)
+
+
+def test_answered_ladder_roots_keep_the_reference_moduli():
+    """Exact phases leave the moduli alone: at every ladder root that
+    parameterize answers, every real part is the complex-exponential
+    reference's."""
+    answered = 0
+    for n, k in LADDER:
+        for seed in (0, 1, 2):
+            d = random_diagram(n, k, seed)
+            system = build_system(d)
+            for leaf in d.leaves:
+                try:
+                    parameterize(end_curve_system(system, root(d, leaf)))
+                except SolveFailed:
+                    continue
+                _same_real_parts(*solve_inputs(system, leaf))
+                answered += 1
+    assert answered == 437, answered
+
+
+def test_numeric_coefficients_carry_no_phase_noise(ladder_solves):
+    """No imaginary part is rounding noise: it is 0.0, exactly so with the
+    right sign of the real part where the phase is an integer (a modulus
+    that underflows keeps the sign as -0.0), or at least 1e-30 of the
+    coefficient's modulus."""
+    checked = 0
+    for rows, consts, width in list(ladder_solves) + list(_golden_end_curve_inputs()):
+        solutions, exact = solve_binomial_torus(rows, consts, width)
+        if exact:
+            continue
+        for comp, turns in zip(solutions, _reference_phases(rows, consts, width), strict=True):
+            for z, q in zip(comp, turns, strict=True):
+                assert z.imag == 0.0 or abs(z.imag) >= 1e-30 * abs(z), (rows, z)
+                if q.denominator == 1:
+                    assert z.imag == 0.0 and (math.copysign(1, z.real) < 0) == (q == 1), (rows, z, q)
+                checked += 1
+    assert checked == 4116 + 372, checked
+
+
+def test_parameterize_refuses_past_the_component_bound(tmp_path, capsys):
+    """A root with g = 4,667,544 is refused before any solve, in the API and
+    in the CLI."""
+    d = random_diagram(11, 1, 1, require_coprime=False)
+    ecs = end_curve_system(build_system(d), root(d, "l6"))
+    start = time.perf_counter()
+    with pytest.raises(SolveFailed, match="^4667544 components exceed the bound of 10000$"):
+        parameterize(ecs)
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(diagram_to_doc(d)))
+    assert cli.main(["endcurve", str(path), "--root", "l6"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["payload"]["error"] == "SolveFailed"
+
+
+def test_component_bound_is_inclusive(monkeypatch):
+    d = random_diagram(4, 1, 0, require_coprime=False)
+    ecs = end_curve_system(build_system(d), root(d, "l1"))
+    monkeypatch.setattr(endcurve, "MAX_COMPONENTS", 4)
+    assert parameterize(ecs).g == 4
+    monkeypatch.setattr(endcurve, "MAX_COMPONENTS", 3)
+    with pytest.raises(SolveFailed, match="^4 components exceed the bound of 3$"):
+        parameterize(ecs)
 
 
 DIAGRAM_40 = Path(__file__).with_name("data") / "random_40_14_seed0.json"
