@@ -22,9 +22,9 @@ from .system import Polynomial, SpliceSystem
 
 NUMERIC_TOL = 1e-9
 
-# parameterize lists one coefficient vector per component, so it refuses a
-# root with more components than this before solving.  The tests, the golden
-# corpus and the benchmark ladder reach g = 1,922 at most.
+# torus_components lists one coefficient vector per component, so it refuses
+# a branch with more components than this before solving.  The tests, the
+# golden corpus and the benchmark ladder reach g = 1,922 at most.
 MAX_COMPONENTS = 10_000
 
 
@@ -159,16 +159,10 @@ def _exact_solution(u, v, kappa, kernel, weight):
     kappa_j) passes 1500, too large to verify.
 
     The columns are built and reduced one at a time and the attempt stops
-    at the first load past the limit.  Every column's shift guess is taken
-    first, from u[:, j] . (V_r^T kernel), the same integer as the column's
-    own dot product, so a guess too large for a float is refused whether or
-    not the attempt would have stopped before its column.
+    at the first load past the limit.
     """
     n_rows, width = len(u), len(v)
     bits = [c.numerator.bit_length() + c.denominator.bit_length() for c in kappa]
-    across = [sum(v[k][i] * kernel[k] for k in range(width)) for i in range(n_rows)]
-    for j in range(n_rows):
-        _shift_guess(sum(u[i][j] * across[i] for i in range(n_rows)), weight)
     load = [0] * width
     columns = []
     for j in range(n_rows):
@@ -325,37 +319,42 @@ class MonomialCurve(Record):
 
 
 def torus_components(system: SpliceSystem, v, u):
-    """Torus components of the end-curve beyond the directed edge [v, u]:
-    the binomial relations at the nodes beyond u, each node having dropped
-    its admissible monomial toward v.
+    """The end-curve beyond the directed edge [v, u]: the binomial relations
+    at the nodes beyond u, each node having dropped its admissible monomial
+    toward v, with one coordinate per leaf beyond u, in leaf order.
 
-    One coordinate per leaf beyond u, in leaf order; returns the
-    (solutions, exact) pair of solve_binomial_torus.
+    By Neumann and Wahl's end-curve theorem it is g torus translates of the
+    monomial curve with the primitive exponents l'(v, l) / g, g the gcd of
+    the reduced linking numbers.  Returns (exponents, g, solutions, exact),
+    the last two from solve_binomial_torus.  A branch with more than
+    MAX_COMPONENTS components is refused with SolveFailed before solving,
+    as is a solve that does not give g components.
     """
     diagram = system.diagram
-    positions = [diagram.leaf_index(leaf) for leaf in diagram.leaves_beyond(v, u)]
+    leaves = diagram.leaves_beyond(v, u)
+    links = [diagram.reduced_linking(v, leaf) for leaf in leaves]
+    g = gcd_list(links)
+    if g > MAX_COMPONENTS:
+        raise SolveFailed(f"{g} components exceed the bound of {MAX_COMPONENTS}")
+    positions = [diagram.leaf_index(leaf) for leaf in leaves]
     rows, consts = [], []
     for x in diagram.nodes_beyond(v, u):
         for rel in node_binomials(system, x, system.toward(x, v)):
             rows.append([rel.lhs[p] - rel.rhs[p] for p in positions])
             consts.append(rel.const)
-    return solve_binomial_torus(rows, consts, len(positions))
-
-
-def parameterize(ecs: EndCurveSystem) -> MonomialCurve:
-    rooted = ecs.rooted
-    links = rooted.links()
-    g = gcd_list(links)
-    exponents = tuple(l // g for l in links)
-    if g > MAX_COMPONENTS:
-        raise SolveFailed(f"{g} components exceed the bound of {MAX_COMPONENTS}")
-    solutions, exact = torus_components(
-        ecs.system, rooted.root, rooted.diagram.neighbors(rooted.root)[0]
-    )
+    solutions, exact = solve_binomial_torus(rows, consts, len(positions))
     if len(solutions) != g:
         raise SolveFailed(
             f"expected {g} components, binomial system produced {len(solutions)}"
         )
+    return tuple(link // g for link in links), g, solutions, exact
+
+
+def parameterize(ecs: EndCurveSystem) -> MonomialCurve:
+    rooted = ecs.rooted
+    exponents, g, solutions, exact = torus_components(
+        ecs.system, rooted.root, rooted.diagram.neighbors(rooted.root)[0]
+    )
     curve = MonomialCurve(
         root=rooted.root,
         leaves=rooted.others,

@@ -431,14 +431,11 @@ def boundary_trop(system: SpliceSystem, leaves, samples=6, seed=0, cross_check=T
                     )
         return None
 
-    leaf = leaves[0]
-    node = diagram.neighbors(leaf)[0]
-    vec = diagram.node_weight_vector(node)
-    projected = primitive(
-        tuple(x for l, x in zip(diagram.leaves, vec) if l != leaf)
-    )
+    k = diagram.leaf_index(leaves[0])
+    vec = diagram.node_weight_vector(diagram.neighbors(leaves[0])[0])
+    full = primitive(vec[:k] + (0,) + vec[k + 1:])
+    projected = full[:k] + full[k + 1:]
     if cross_check:
-        full = _embed_projected(diagram, leaf, projected)
         for t in (1, 2, 3):
             w = tuple(t * x for x in full)
             if certificate_search(system, w, trunc) is not None:
@@ -454,18 +451,6 @@ def boundary_trop(system: SpliceSystem, leaves, samples=6, seed=0, cross_check=T
                     f"missing certificate off the boundary ray at {w}"
                 )
     return projected
-
-
-def _embed_projected(diagram, leaf, projected):
-    out = []
-    k = 0
-    for l in diagram.leaves:
-        if l == leaf:
-            out.append(0)
-        else:
-            out.append(projected[k])
-            k += 1
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +620,7 @@ def _sample_log_point(system: SpliceSystem, cell: CellLocation, rng):
     diagram = system.diagram
     if cell.kind == "on_ray":
         logs = _sample_node_ray_logs(system, cell.label, rng)
-        direction = [float(x) for x in diagram.node_weight_vector(cell.label)]
-        return _center_logs(logs, [direction])
+        return _center_logs(logs, [_direction(diagram, cell.label)])
     a, b = cell.label
     point = {}
     if diagram.is_leaf(a) or diagram.is_leaf(b):
@@ -649,31 +633,25 @@ def _sample_log_point(system: SpliceSystem, cell: CellLocation, rng):
             branch, _ = _branch_component(system, far, near, rng)
             point.update(_curve_logs(branch, _random_log_unit(rng)))
     logs = [point[l] for l in diagram.leaves]
-    ray_a = (
-        [float(x) for x in diagram.node_weight_vector(a)]
-        if diagram.is_node(a)
-        else [float(l == a) for l in diagram.leaves]
-    )
-    ray_b = (
-        [float(x) for x in diagram.node_weight_vector(b)]
-        if diagram.is_node(b)
-        else [float(l == b) for l in diagram.leaves]
-    )
-    return _center_logs(logs, [ray_a, ray_b])
+    return _center_logs(logs, [_direction(diagram, a), _direction(diagram, b)])
+
+
+def _direction(diagram, x):
+    """x's ray in floats: a node's weight vector, a leaf's unit vector."""
+    if diagram.is_node(x):
+        return [float(c) for c in diagram.node_weight_vector(x)]
+    return [float(l == x) for l in diagram.leaves]
 
 
 def _branch_component(system, v, u, rng):
     """A random torus component of the end-curve beyond the directed edge
-    [v, u] and the gcd g of the reduced linking numbers from v to its
-    leaves: {leaf: (log c_l, l'(v, leaf) / g)} over the leaves beyond u.
+    [v, u] and its component count g (torus_components):
+    {leaf: (log c_l, l'(v, leaf) / g)} over the leaves beyond u.
     """
-    diagram = system.diagram
-    leaves = diagram.leaves_beyond(v, u)
-    solutions, _ = torus_components(system, v, u)
-    coeffs = solutions[rng.randrange(len(solutions))]
-    links = [diagram.reduced_linking(v, l) for l in leaves]
-    g = gcd_list(links)
-    return {l: (_log_of(c), link // g) for l, c, link in zip(leaves, coeffs, links)}, g
+    exponents, g, solutions, _ = torus_components(system, v, u)
+    coeffs = solutions[rng.randrange(g)]
+    leaves = system.diagram.leaves_beyond(v, u)
+    return {l: (_log_of(c), e) for l, c, e in zip(leaves, coeffs, exponents)}, g
 
 
 def _curve_logs(branch, log_t):

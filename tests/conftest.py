@@ -117,16 +117,23 @@ def system_for(diagram, seed=None):
     return build_system(diagram, coeffs=coeffs)
 
 
+class _Captured(Exception):
+    """Stops torus_components once the solver's inputs are read."""
+
+
 def solve_inputs(system, leaf):
     """The (rows, consts, width) that parameterize at ``leaf`` hands to
     solve_binomial_torus, read by running torus_components with the solver
-    replaced."""
+    replaced by one that stops it."""
     from splicefan import endcurve
 
-    captured = []
-    with mock.patch.object(endcurve, "solve_binomial_torus", lambda *args: captured.append(args)):
-        endcurve.torus_components(system, leaf, system.diagram.neighbors(leaf)[0])
-    (inputs,) = captured
+    def capture(*args):
+        raise _Captured(args)
+
+    with mock.patch.object(endcurve, "solve_binomial_torus", capture):
+        with pytest.raises(_Captured) as stop:
+            endcurve.torus_components(system, leaf, system.diagram.neighbors(leaf)[0])
+    (inputs,) = stop.value.args
     return inputs
 
 

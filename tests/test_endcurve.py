@@ -30,6 +30,7 @@ from splicefan import (
     random_coefficients,
     random_diagram,
     root,
+    smoothness_smoke,
     verify_parameterization,
 )
 from splicefan.documents import diagram_from_doc, diagram_to_doc
@@ -247,6 +248,29 @@ def test_component_count_and_primitivity(pool_small):
             for e in curve.exponents:
                 e_gcd = gcd(e_gcd, e)
             assert e_gcd == 1
+
+
+def test_torus_components_is_the_branch_beyond_each_directed_edge(d1, d1_system, pool_small):
+    """At every directed edge [v, u] with u a node: primitive exponents
+    l'(v, l) / g over the leaves beyond u, and g components; at a leaf v,
+    these are parameterize's exponents and g, and l' is the linking number."""
+    edges = 0
+    for system in [d1_system] + [build_system(d) for d in pool_small]:
+        d = system.diagram
+        for a, b in d.edges():
+            for v, u in ((a, b), (b, a)):
+                if not d.is_node(u):
+                    continue
+                exponents, g, solutions, _ = endcurve.torus_components(system, v, u)
+                links = [d.reduced_linking(v, l) for l in d.leaves_beyond(v, u)]
+                assert gcd_list(exponents) == 1 and [g * e for e in exponents] == links
+                assert len(solutions) == g
+                if d.is_leaf(v):
+                    curve = parameterize(end_curve_system(system, root(d, v)))
+                    assert (curve.exponents, curve.g) == (exponents, g)
+                    assert root(d, v).links() == tuple(links)
+                edges += 1
+    assert edges == 291
 
 
 def test_binomials_are_node_weight_homogeneous(pool_small):
@@ -614,13 +638,17 @@ def test_numeric_coefficients_carry_no_phase_noise(ladder_solves):
 
 
 def test_parameterize_refuses_past_the_component_bound(tmp_path, capsys):
-    """A root with g = 4,667,544 is refused before any solve, in the API and
-    in the CLI."""
+    """A root with g = 4,667,544 is refused before any solve, in the API, in
+    the smoke sampler at its leaf cone, and in the CLI."""
     d = random_diagram(11, 1, 1, require_coprime=False)
-    ecs = end_curve_system(build_system(d), root(d, "l6"))
+    system = build_system(d)
+    ecs = end_curve_system(system, root(d, "l6"))
+    ray = d.node_weight_vector(d.neighbors("l6")[0])
     start = time.perf_counter()
     with pytest.raises(SolveFailed, match="^4667544 components exceed the bound of 10000$"):
         parameterize(ecs)
+    with pytest.raises(SolveFailed, match="^4667544 components exceed the bound of 10000$"):
+        smoothness_smoke(system, tuple(x + (l == "l6") for x, l in zip(ray, d.leaves)))
     assert time.perf_counter() - start < 1.0
     path = tmp_path / "d.json"
     path.write_text(json.dumps(diagram_to_doc(d)))
@@ -680,7 +708,7 @@ def test_solve_refuses_what_is_not_an_end_curve_system(rows, width):
 
 def test_forty_leaf_roots_refuse_as_recorded():
     """Every root of the recorded 40-leaf diagram raises the recorded
-    exception class and message (37 kernel-shift refusals, 3 failed
+    exception class and message (36 kernel-shift refusals, 4 failed
     substitutions)."""
     recorded = json.loads(OUTCOMES_40.read_text())
     assert recorded["diagram"] == DIAGRAM_40.name

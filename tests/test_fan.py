@@ -13,6 +13,7 @@ from splicefan import (
     Polynomial,
     Ray,
     SpliceDiagram,
+    SolveFailed,
     SpliceFan,
     TruncationContext,
     VerificationFailed,
@@ -536,6 +537,32 @@ def test_smoke_repairs_sampling_when_hamm_breaks(d1, d1_system):
     broken = SpliceSystem(d1, blocks, d1_system.equations)
     report = smoothness_smoke(broken, _leaf_cone_point(d1), samples=2, seed=0)
     assert report.cell.kind == "in_cone" and report.repaired_sampling
+
+
+def test_smoke_refuses_a_branch_past_the_component_bound(monkeypatch):
+    """The smoke sampler shares parameterize's component bound: at the leaf
+    cone of l1, whose branch has 4 components, the bound 4 samples and the
+    bound 3 refuses before any solve."""
+    from splicefan import endcurve
+
+    d = random_diagram(4, 1, 0, require_coprime=False)
+    system = build_system(d)
+    w = tuple(x + (l == "l1") for x, l in zip(d.node_weight_vector(d.nodes[0]), d.leaves))
+    solve, widths = endcurve.solve_binomial_torus, []
+
+    def spy(rows, consts, width):
+        widths.append(width)
+        return solve(rows, consts, width)
+
+    monkeypatch.setattr(endcurve, "solve_binomial_torus", spy)
+    monkeypatch.setattr(endcurve, "MAX_COMPONENTS", 4)
+    assert smoothness_smoke(system, w, samples=2, seed=0).cell.label == ("l1", d.nodes[0])
+    assert widths == [d.n - 1] * 2
+    widths.clear()
+    monkeypatch.setattr(endcurve, "MAX_COMPONENTS", 3)
+    with pytest.raises(SolveFailed, match="^4 components exceed the bound of 3$"):
+        smoothness_smoke(system, w, samples=2, seed=0)
+    assert widths == []
 
 
 def _reference_kernel_vector(rows, rng):
