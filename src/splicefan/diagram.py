@@ -9,6 +9,7 @@ vector produced downstream.  All arithmetic is exact.
 from __future__ import annotations
 
 import random
+from functools import cache
 from math import gcd
 
 from .errors import GenerationExhausted
@@ -564,19 +565,40 @@ def _shuffle(rng, items):
     For i from the last index down to 1, j is ``rng.getrandbits(k)`` with
     k = (i + 1).bit_length(), drawn again until j <= i, and items i and j
     swap: CPython's Fisher-Yates shuffle, without its per-draw method call.
+    The (i, k) steps of each length are computed once.
     """
     getrandbits = rng.getrandbits
-    for i in range(len(items) - 1, 0, -1):
-        k = (i + 1).bit_length()
+    for i, k in _shuffle_steps(len(items)):
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
         items[i], items[j] = items[j], items[i]
 
 
+@cache
+def _shuffle_steps(length):
+    return tuple((i, (i + 1).bit_length()) for i in range(length - 1, 0, -1))
+
+
+def _below(getrandbits, n):
+    """A uniform integer in [0, n), n >= 1, with exactly the draws of
+    CPython's ``Random._randbelow``: ``getrandbits(n.bit_length())``, drawn
+    again until below n.  So ``rng.randrange(n)``, ``rng.randint(a, b)`` and
+    ``rng.choice(seq)`` are ``_below(rng.getrandbits, n)``,
+    ``a + _below(rng.getrandbits, b - a + 1)`` and
+    ``seq[_below(rng.getrandbits, len(seq))]``, without their method layers.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _attempt(rng, n_leaves, n_nodes, require_coprime):
+    getrandbits, random = rng.getrandbits, rng.random
     nodes = [f"n{i + 1}" for i in range(n_nodes)]
-    node_edges = [(nodes[i], nodes[rng.randrange(i)]) for i in range(1, n_nodes)]
+    node_edges = [(nodes[i], nodes[_below(getrandbits, i)]) for i in range(1, n_nodes)]
     deg = {v: 0 for v in nodes}
     for a, b in node_edges:
         deg[a] += 1
@@ -588,7 +610,7 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
     extra = n_leaves - len(slots)
     if extra < 0:
         return None
-    slots.extend(rng.choice(nodes) for _ in range(extra))
+    slots.extend(nodes[_below(getrandbits, n_nodes)] for _ in range(extra))
     _shuffle(rng, slots)
     leaves = [f"l{i + 1}" for i in range(n_leaves)]
     leaf_edges = list(zip(slots, leaves))
@@ -598,26 +620,22 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
         adjacency[a].append(b)
         adjacency[b].append(a)
 
-    used = {v: [] for v in nodes}  # weights already placed around each node
+    # the product of the weights already placed around each node: a weight
+    # is coprime to each of them exactly when it is coprime to the product
+    used = {v: 1 for v in nodes}
 
     def compatible(w, v):
-        return not require_coprime or all(gcd(w, x) == 1 for x in used[v])
-
-    def draw_leaf_weight(v):
-        pool = list(WEIGHT_POOL)
-        _shuffle(rng, pool)
-        for w in pool:
-            if compatible(w, v):
-                return w
-        return None
+        return not require_coprime or gcd(w, used[v]) == 1
 
     weights = {}
     for v, leaf in leaf_edges:
-        w = draw_leaf_weight(v)
+        pool = list(WEIGHT_POOL)
+        _shuffle(rng, pool)
+        w = next((w for w in pool if compatible(w, v)), None)
         if w is None:
             return None
         weights[(v, leaf)] = w
-        used[v].append(w)
+        used[v] *= w
 
     # Internal half-weights are drawn as explicit semigroup combinations of
     # the reduced linking numbers beyond the edge, so the semigroup condition
@@ -646,8 +664,8 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
         for _ in range(30):
             # keep internal weights comfortably above the largest generator so
             # the edge determinant condition has a fighting chance
-            cand = gens[-1] * rng.randint(2, 5) + sum(
-                g for g in gens[:-1] if rng.random() < 0.5
+            cand = gens[-1] * (2 + _below(getrandbits, 4)) + sum(
+                g for g in gens[:-1] if random() < 0.5
             )
             if compatible(cand, v):
                 value = cand
@@ -655,7 +673,7 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
         if value is None:
             return None
         weights[(v, u)] = value
-        used[v].append(value)
+        used[v] *= value
 
     # every weight is drawn; an internal edge [a, b] whose determinant
     # w(a,b)*w(b,a) - (a's weights off b)*(b's weights off a) is not positive

@@ -166,6 +166,9 @@ def system_from_doc(doc) -> SpliceSystem:
         if not isinstance(node, str) or type(index) is not int:
             raise DocumentError(f"equation ({node!r}, {index!r}) needs a node id and index")
         by_node.setdefault(node, []).append(entry)
+    strays = sorted(set(by_node) - set(diagram.nodes))
+    if strays:
+        raise DocumentError(f"equation at {strays[0]!r}, which is not a node of the diagram")
     for v in diagram.nodes:
         entries = sorted(by_node.get(v, []), key=lambda e: e["index"])
         if [e["index"] for e in entries] != list(range(1, diagram.valency(v) - 1)):
@@ -173,6 +176,13 @@ def system_from_doc(doc) -> SpliceSystem:
         polys = [terms_to_polynomial(e["terms"], diagram.n) for e in entries]
         star = diagram.neighbors(v)
         exponents = _node_exponents_from_polys(diagram, v, star, polys)
+        for e, poly in zip(entries, polys):
+            stray = next((m for m in poly.support() if m not in exponents), None)
+            if stray is not None:
+                raise DocumentError(
+                    f"term {list(stray)} of equation ({v!r}, {e['index']}) is not "
+                    f"an admissible monomial at {v!r}"
+                )
         rows = []
         for m in exponents:
             row = []

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .diagram import SpliceDiagram, check_conditions
+from .diagram import SpliceDiagram, _below, check_conditions
 from .errors import ConditionViolation, HammViolation, TailViolation
 from .exact import dot, kernel_basis, nullspace_one
 from .record import Record
@@ -25,8 +25,12 @@ INF = math.inf
 # Polynomials
 # ---------------------------------------------------------------------------
 
-def _term_key(exponent):
+def _term_order(term):
+    exponent = term[0]
     return (sum(exponent), exponent)
+
+
+_INTS = frozenset({int})
 
 
 class Polynomial:
@@ -34,7 +38,9 @@ class Polynomial:
 
     Terms are kept in graded-lex order on the exponent tuples (leaf order),
     with no zero coefficients and no duplicate exponents, so equal
-    polynomials compare and hash equal.
+    polynomials compare and hash equal.  An exponent that is already a
+    tuple of ints, as every term of another polynomial is, is kept as it
+    is; any other is rebuilt as one.
     """
 
     __slots__ = ("terms",)
@@ -43,13 +49,17 @@ class Polynomial:
         acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exponent, coeff in items:
-            exponent = tuple(int(e) for e in exponent)
-            c = acc.get(exponent, 0) + Fraction(coeff)
-            if c:
-                acc[exponent] = c
+            if type(exponent) is not tuple or not _INTS.issuperset(map(type, exponent)):
+                exponent = tuple(int(e) for e in exponent)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if exponent in acc:
+                coeff += acc[exponent]
+            if coeff:
+                acc[exponent] = coeff
             else:
                 acc.pop(exponent, None)
-        self.terms = tuple(sorted(acc.items(), key=lambda t: _term_key(t[0])))
+        self.terms = tuple(sorted(acc.items(), key=_term_order))
 
     @classmethod
     def zero(cls):
@@ -179,6 +189,16 @@ class CoefficientMatrix(Record):
             return _vandermonde_kernel(len(rows))
         return _transposed_kernel(rows)
 
+    @cached_property
+    def hamm(self):
+        """The Hamm verdict of :func:`check_hamm`, which checks the shape
+        before the first read.  Decided once, like ``kernel``, and once per
+        valency for the shared Vandermonde rows."""
+        rows = self.rows
+        if rows is _vandermonde_rows(len(rows)):
+            return _vandermonde_hamm(len(rows))
+        return _plane_in_general_position(self.kernel)
+
     def plane_minor(self, p, q):
         """The kernel plane's 2x2 minor at star positions p and q."""
         a, b = self.kernel
@@ -190,16 +210,30 @@ def check_hamm(matrix: CoefficientMatrix) -> bool:
 
     By Pluecker duality the minor without rows p and q is, up to sign and one
     common nonzero factor, the kernel plane's 2x2 minor at (p, q); a kernel
-    larger than a plane means every maximal minor vanishes.
+    larger than a plane means every maximal minor vanishes.  A matrix of the
+    wrong shape raises ``ValueError`` before any elimination; the verdict is
+    kept on the matrix (``CoefficientMatrix.hamm``).
     """
     k = matrix.n_equations
     if k < 1 or matrix.n_edges != k + 2:
         raise ValueError("matrix must have shape (valency, valency - 2)")
     if any(len(r) != k for r in matrix.rows):
         raise ValueError("ragged coefficient matrix")
-    return len(matrix.kernel) == 2 and all(
-        matrix.plane_minor(p, q) for q in range(k + 2) for p in range(q)
-    )
+    return matrix.hamm
+
+
+def _plane_in_general_position(kernel):
+    """Whether the kernel is a plane with no zero 2x2 minor.
+
+    Scaling star position p of both basis vectors by the product of their
+    denominators there moves no minor off or onto zero, so each minor is
+    compared as integers: a_p * b_q against a_q * b_p.
+    """
+    if len(kernel) != 2:
+        return False
+    a = [x.numerator * y.denominator for x, y in zip(*kernel)]
+    b = [y.numerator * x.denominator for x, y in zip(*kernel)]
+    return all(a[p] * b[q] != a[q] * b[p] for q in range(len(a)) for p in range(q))
 
 
 def default_coefficients(diagram: SpliceDiagram, v) -> CoefficientMatrix:
@@ -222,17 +256,31 @@ def _vandermonde_kernel(valency):
     return _transposed_kernel(_vandermonde_rows(valency))
 
 
+@cache
+def _vandermonde_hamm(valency):
+    return _plane_in_general_position(_vandermonde_kernel(valency))
+
+
 def _transposed_kernel(rows):
     width = len(rows[0]) if rows else 0
     return kernel_basis([[row[i] for row in rows] for i in range(width)], len(rows))
 
 
+# the entries random_coefficients draws from, -9 to 9
+_SMALL = tuple(Fraction(c) for c in range(-9, 10))
+
+
 def random_coefficients(diagram: SpliceDiagram, v, rng) -> CoefficientMatrix:
-    """Small random integer coefficients, redrawn until the Hamm check passes."""
+    """Small random integer coefficients, redrawn until the Hamm check passes.
+
+    ``rng`` is a ``random.Random``; each entry takes the draws of
+    ``rng.randint(-9, 9)``, row by row.
+    """
     valency = diagram.valency(v)
+    getrandbits = rng.getrandbits
     while True:
         rows = tuple(
-            tuple(Fraction(rng.randint(-9, 9)) for _ in range(valency - 2))
+            tuple(_SMALL[_below(getrandbits, 19)] for _ in range(valency - 2))
             for _ in range(valency)
         )
         matrix = CoefficientMatrix(node=v, rows=rows)

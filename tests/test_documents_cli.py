@@ -121,6 +121,24 @@ def test_system_doc_rejects_mistyped_exponents(d1):
             system_from_doc(mistyped)
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_system_doc_refuses_a_term_off_the_admissible_monomials(index):
+    doc = system_to_doc(build_system(random_diagram(6, 2, 9)))
+    assert system_to_doc(system_from_doc(doc)) == doc
+    bad = json.loads(json.dumps(doc))
+    bad["equations"][index]["terms"].append({"c": "5", "m": [1, 1, 1, 1, 1, 1]})
+    with pytest.raises(DocumentError, match="not an admissible monomial"):
+        system_from_doc(bad)
+
+
+def test_system_doc_refuses_an_equation_off_the_nodes():
+    doc = system_to_doc(build_system(random_diagram(6, 2, 9)))
+    bad = json.loads(json.dumps(doc))
+    bad["equations"].append({"node": "zz", "index": 1, "terms": []})
+    with pytest.raises(DocumentError, match="'zz', which is not a node"):
+        system_from_doc(bad)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def run_cli(*args):

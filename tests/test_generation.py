@@ -3,7 +3,8 @@
 The benchmark's diagrams and the golden CLI corpus depend on ``random_diagram``
 drawing the same random stream, so its output is checked against a recorded
 fixture, ``data/random_diagrams.json``.  It holds every benchmark member shape
-with both coprime flags, every ladder shape, and three shapes past the ladder.
+with both coprime flags, every ladder shape, three shapes past the ladder, and
+the non-coprime (30, 14) diagram of seed 3, whose semigroup search is slow.
 
 Regenerate the fixture only when a change of output is intended:
 
@@ -12,13 +13,23 @@ Regenerate the fixture only when a change of output is intended:
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import LADDER
-from splicefan import cli, edge_determinant, random_diagram
+from splicefan import (
+    CoefficientMatrix,
+    SpliceDiagram,
+    check_hamm,
+    cli,
+    edge_determinant,
+    random_coefficients,
+    random_diagram,
+)
 from splicefan import diagram as diagram_module
+from splicefan.diagram import WEIGHT_POOL
 from splicefan.documents import diagram_to_doc
 
 DATA = Path(__file__).with_name("data")
@@ -28,6 +39,7 @@ DIAGRAM_40 = DATA / "random_40_14_seed0.json"
 # the benchmark's member shapes: 4 to 8 leaves, 1 to 3 nodes
 MEMBER_SHAPES = tuple((n, k) for n in range(4, 9) for k in range(1, min(3, n - 2) + 1))
 LARGE = ((16, 7), (24, 8), (32, 12))
+SCALE = ((30, 14, 3, False),)
 
 
 def cases():
@@ -35,6 +47,7 @@ def cases():
     out = [(n, k, s, c) for n, k in MEMBER_SHAPES for c in (True, False) for s in (0, 1, 2)]
     out += [(n, k, s, True) for n, k in LADDER for s in (0, 1, 2)]
     out += [(n, k, 0, True) for n, k in LARGE]
+    out += list(SCALE)
     return out
 
 
@@ -68,6 +81,36 @@ def test_shuffle_draws_what_random_shuffle_draws(length):
         theirs.shuffle(b)
         assert a == b
         assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_below_draws_what_random_draws(seed):
+    """_below stands in for randrange, randint and choice; each form gives
+    the same value and leaves the generator in the same state."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    below, getrandbits = diagram_module._below, ours.getrandbits
+    for n in range(1, 601):
+        items = list(range(n))
+        assert below(getrandbits, n) == theirs.randrange(n)
+        assert 2 + below(getrandbits, 4) == theirs.randint(2, 5)
+        assert -9 + below(getrandbits, 19) == theirs.randint(-9, 9)
+        assert items[below(getrandbits, n)] == theirs.choice(items)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_random_coefficients_draw_what_randint_draws():
+    for valency in range(3, 9):
+        star = SpliceDiagram.star(WEIGHT_POOL[:valency])
+        ours, theirs = random.Random(valency), random.Random(valency)
+        for _ in range(5):
+            matrix = random_coefficients(star, "n1", ours)
+            while True:
+                rows = tuple(tuple(Fraction(theirs.randint(-9, 9)) for _ in range(valency - 2))
+                             for _ in range(valency))
+                if check_hamm(CoefficientMatrix("n1", rows)):
+                    break
+            assert matrix.rows == rows
+            assert ours.getstate() == theirs.getstate()
 
 
 def test_an_attempt_failing_the_edge_determinant_builds_no_diagram(monkeypatch):

@@ -1,5 +1,6 @@
 """Splice type systems: Hamm checks, assembly, initial forms, tails."""
 
+import functools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,7 @@ from splicefan import (
     random_coefficients,
     validate_tail,
 )
+from splicefan import system as system_module
 from splicefan.exact import kernel_basis
 
 F = Fraction
@@ -175,6 +177,57 @@ def test_random_coefficients_pass_hamm(d1):
     rng = random.Random(5)
     for v in d1.nodes:
         assert check_hamm(random_coefficients(d1, v, rng))
+
+
+def _count_hamm_work(monkeypatch):
+    """Record the rows of each kernel elimination and the kernel of each
+    minor check made through the system module."""
+    eliminated, checked = [], []
+    kernel, verdict = system_module._transposed_kernel, system_module._plane_in_general_position
+    monkeypatch.setattr(system_module, "_transposed_kernel",
+                        lambda rows: eliminated.append(rows) or kernel(rows))
+    monkeypatch.setattr(system_module, "_plane_in_general_position",
+                        lambda plane: checked.append(plane) or verdict(plane))
+    return eliminated, checked
+
+
+def test_random_coefficients_and_build_decide_hamm_once_per_matrix(monkeypatch, pool_small):
+    eliminated, checked = _count_hamm_work(monkeypatch)
+    rng = random.Random(7)
+    accepted = []
+    for d in pool_small:
+        coeffs = {v: random_coefficients(d, v, rng) for v in d.nodes}
+        build_system(d, coeffs=coeffs)
+        accepted += coeffs.values()
+    assert len(accepted) > 20
+    for m in accepted:
+        assert sum(rows is m.rows for rows in eliminated) == 1
+        assert sum(plane is m.kernel for plane in checked) == 1
+    # every drawn matrix, accepted or redrawn, is eliminated and checked once
+    assert len(eliminated) == len(checked) == len({id(rows) for rows in eliminated})
+
+
+def test_vandermonde_hamm_is_decided_once_per_valency(monkeypatch, pool_small):
+    _, checked = _count_hamm_work(monkeypatch)
+    monkeypatch.setattr(system_module, "_vandermonde_hamm",
+                        functools.cache(system_module._vandermonde_hamm.__wrapped__))
+    valencies = set()
+    for d in pool_small:
+        build_system(d)
+        build_system(d)
+        valencies.update(d.valency(v) for v in d.nodes)
+    assert len(valencies) > 1
+    assert len(checked) == len(valencies)
+
+
+def test_a_broken_matrix_is_refused_whether_or_not_its_verdict_is_kept(d1):
+    rows = ((F(1), F(1)), (F(1), F(1)), (F(2), F(3)), (F(4), F(5)))
+    kept = CoefficientMatrix("v", rows)
+    assert not check_hamm(kept)
+    for bad in (kept, CoefficientMatrix("v", rows)):
+        with pytest.raises(HammViolation):
+            build_system(d1, coeffs={"v": bad})
+    assert not kept.hamm
 
 
 def test_build_worked_example_system(d1_system, d1):
