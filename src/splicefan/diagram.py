@@ -379,6 +379,23 @@ def semigroup_decompose(diagram: SpliceDiagram, v, e):
     return AdmissibleCoweight(node=v, edge=(v, u), coeffs=coeffs)
 
 
+def admissible_edge(diagram: SpliceDiagram, v, exponent):
+    """The neighbour u of node v toward which ``exponent`` (leaf order) is
+    an admissible monomial, or None when there is none.
+
+    Admissible toward u: non-negative, nonzero, supported on the leaves
+    beyond the edge [v, u], and sum(m_l * l'(v, l)) == d(v, u).  The
+    beyond-sets of v's edges partition the leaves, so u is unique.
+    """
+    if not any(exponent) or min(exponent) < 0:
+        return None
+    support = [(leaf, e) for leaf, e in zip(diagram.leaves, exponent) if e]
+    u = diagram.first_step(v, support[0][0])
+    side = diagram._branch(v, u)
+    total = sum(e * diagram.reduced_linking(v, leaf) for leaf, e in support)
+    return u if total == diagram.weight(v, u) and all(l in side for l, _ in support) else None
+
+
 class _Semigroups:
     """Membership in the semigroups S(x, y, i) spanned by l'(x, l) over the
     leaves l beyond the edge [x, y] with leaf index at least i.

@@ -2,7 +2,11 @@
 
 Weights, exponents and multiplicities travel as JSON integers; every
 rational is a "p/q" or integer string so nothing depends on floating JSON
-number ranges.  Parsing is strict: unknown keys are rejected.
+number ranges.  Parsing is strict: unknown keys are rejected, and a system
+document spells each polynomial one way.  Within one ``terms`` list no
+exponent repeats, no coefficient is zero and no exponent entry is negative;
+each minimal-part term is the admissible monomial of its node toward one
+edge (``diagram.admissible_edge``), and each edge has exactly one.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .diagram import SpliceDiagram
+from .diagram import SpliceDiagram, admissible_edge
 from .errors import DocumentError
 from .fan import Certificate, CellLocation, Cone2, Ray, SpliceFan
 from .system import CoefficientMatrix, Polynomial, SpliceSystem, build_system
@@ -125,14 +129,23 @@ def polynomial_to_terms(poly: Polynomial) -> list:
 
 
 def terms_to_polynomial(terms, n) -> Polynomial:
-    out = []
+    """Strict: a repeated exponent, a zero coefficient or a negative exponent
+    entry is refused, so each polynomial has one spelling."""
+    out = {}
     for entry in _require_list(terms, "terms"):
         _require_keys(entry, ("c", "m"), what="term")
         m = entry["m"]
         if not isinstance(m, list) or len(m) != n:
             raise DocumentError(f"exponent vector {m!r} has the wrong length")
         exponent = tuple(_parse_int(e, "exponent", f"term {m!r}") for e in m)
-        out.append((exponent, parse_rational(entry["c"])))
+        if any(e < 0 for e in exponent):
+            raise DocumentError(f"exponent vector {m!r} has a negative entry")
+        if exponent in out:
+            raise DocumentError(f"exponent vector {m!r} repeats")
+        coeff = parse_rational(entry["c"])
+        if not coeff:
+            raise DocumentError(f"term {m!r} has coefficient 0")
+        out[exponent] = coeff
     return Polynomial(out)
 
 
@@ -154,8 +167,9 @@ def system_to_doc(system: SpliceSystem) -> dict:
 def system_from_doc(doc) -> SpliceSystem:
     _require_keys(doc, ("diagram", "equations"), what="system document")
     diagram = diagram_from_doc(doc["diagram"])
-    # rebuild through build_system so every invariant is re-checked; the
-    # coefficient matrices are read back off the serialized minimal parts
+    # rebuild through build_system so every invariant is re-checked; each
+    # minimal-part term is placed on the edge it is admissible toward, which
+    # gives back the coefficient matrices and the admissible exponents
     coeffs = {}
     tails = {}
     coweights = {}
@@ -173,63 +187,34 @@ def system_from_doc(doc) -> SpliceSystem:
         entries = sorted(by_node.get(v, []), key=lambda e: e["index"])
         if [e["index"] for e in entries] != list(range(1, diagram.valency(v) - 1)):
             raise DocumentError(f"equation indices at {v!r} are not 1..valency-2")
-        polys = [terms_to_polynomial(e["terms"], diagram.n) for e in entries]
-        star = diagram.neighbors(v)
-        exponents = _node_exponents_from_polys(diagram, v, star, polys)
-        for e, poly in zip(entries, polys):
-            stray = next((m for m in poly.support() if m not in exponents), None)
-            if stray is not None:
-                raise DocumentError(
-                    f"term {list(stray)} of equation ({v!r}, {e['index']}) is not "
-                    f"an admissible monomial at {v!r}"
-                )
-        rows = []
-        for m in exponents:
-            row = []
-            for poly in polys:
-                coeff = dict(poly.terms).get(m, Fraction(0))
-                row.append(coeff)
-            rows.append(tuple(row))
-        coeffs[v] = CoefficientMatrix(node=v, rows=tuple(rows))
-        for u, m in zip(star, exponents):
-            coweights[(v, u)] = {
-                leaf: m[i] for i, leaf in enumerate(diagram.leaves) if m[i]
-            }
+        exponents = {}
+        columns = []  # per equation: neighbour -> coefficient
         for e in entries:
+            column = {}
+            for m, c in terms_to_polynomial(e["terms"], diagram.n).terms:
+                u = admissible_edge(diagram, v, m)
+                if u is None:
+                    raise DocumentError(
+                        f"term {list(m)} of equation ({v!r}, {e['index']}) is not "
+                        f"an admissible monomial at {v!r}"
+                    )
+                if exponents.setdefault(u, m) != m:
+                    raise DocumentError(f"two admissible monomials at ({v!r}, {u!r})")
+                column[u] = c
+            columns.append(column)
             tail = terms_to_polynomial(e.get("tail", []), diagram.n)
             if tail:
                 tails[(v, e["index"])] = tail
+        star = diagram.neighbors(v)
+        for u in star:
+            if u not in exponents:
+                raise DocumentError(f"no admissible monomial at ({v!r}, {u!r})")
+            coweights[(v, u)] = {leaf: x for leaf, x in zip(diagram.leaves, exponents[u]) if x}
+        coeffs[v] = CoefficientMatrix(
+            node=v,
+            rows=tuple(tuple(col.get(u, Fraction(0)) for col in columns) for u in star),
+        )
     return build_system(diagram, coeffs=coeffs, tails=tails, coweights=coweights)
-
-
-def _node_exponents_from_polys(diagram, v, star, polys):
-    """Match each incident edge to the admissible exponent used in the doc.
-
-    An admissible exponent for (v, u) is supported on the leaves beyond the
-    edge and pairs to the edge weight against the reduced linking numbers;
-    beyond-sets of distinct edges are disjoint, so this is unambiguous.
-    """
-    support = set()
-    for poly in polys:
-        support.update(poly.support())
-    exponents = []
-    for u in star:
-        beyond = {diagram.leaf_index(l) for l in diagram.leaves_beyond(v, u)}
-        matches = [
-            m for m in support
-            if any(m)
-            and all(e == 0 or i in beyond for i, e in enumerate(m))
-            and sum(
-                m[i] * diagram.reduced_linking(v, diagram.leaves[i]) for i in beyond
-            )
-            == diagram.weight(v, u)
-        ]
-        if len(matches) != 1:
-            raise DocumentError(
-                f"cannot identify the admissible monomial at ({v!r}, {u!r})"
-            )
-        exponents.append(matches[0])
-    return exponents
 
 
 # ---------------------------------------------------------------------------

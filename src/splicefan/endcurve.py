@@ -131,17 +131,18 @@ def binomial_reduce(ecs: EndCurveSystem) -> BinomialSystem:
 # ---------------------------------------------------------------------------
 
 def _shift_guess(dot, weight):
-    """The floating-point guess -round(dot / weight) of a kernel shift."""
-    try:
-        return -round(dot / weight)
-    except OverflowError:
-        raise SolveFailed("kernel shift too large for a floating-point guess") from None
+    """The guess -round(dot / weight) of a kernel shift, rounded exactly in
+    integers, half to even as ``round`` rounds; weight > 0."""
+    q, r = divmod(dot, weight)
+    if 2 * r > weight or 2 * r == weight and q % 2:
+        q += 1
+    return -q
 
 
 def _reduce_column(column, kernel, weight):
     """Shrink an integer column in place by an integer shift along the
     kernel (of squared length ``weight``), trying the five shifts around the
-    float guess and keeping the first of least l1 norm."""
+    guess and keeping the first of least l1 norm."""
     guess = _shift_guess(sum([c * k for c, k in zip(column, kernel)]), weight)
     best, best_cost = 0, None
     for t in range(guess - 2, guess + 3):

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .diagram import SpliceDiagram, _below, check_conditions
+from .diagram import SpliceDiagram, _below, admissible_edge, check_conditions
 from .errors import ConditionViolation, HammViolation, TailViolation
 from .exact import dot, kernel_basis, nullspace_one
 from .record import Record
@@ -339,15 +339,15 @@ class SpliceSystem:
 
 
 def validate_tail(diagram: SpliceDiagram, v, tail: Polynomial) -> bool:
-    """Every tail exponent must weigh strictly more than the node's own
-    admissible value at v and strictly more than the linking number at every
-    other node."""
+    """Every tail exponent must be non-negative, weigh strictly more than the
+    node's own admissible value at v and strictly more than the linking
+    number at every other node."""
     if not tail:
         return True
     wv = diagram.node_weight_vector(v)
     dv = diagram.total_weight(v)
     for m in tail.support():
-        if dot(wv, m) <= dv:
+        if min(m) < 0 or dot(wv, m) <= dv:
             return False
         for u in diagram.nodes:
             if u != v and dot(diagram.node_weight_vector(u), m) <= diagram.linking_number(u, v):
@@ -361,8 +361,8 @@ def build_system(diagram: SpliceDiagram, coeffs=None, tails=None, coweights=None
     coeffs: optional dict node -> CoefficientMatrix (default: Vandermonde).
     tails: optional dict (node, index) -> Polynomial.
     coweights: optional dict (node, neighbour) -> {leaf: int} overriding the
-    lex-smallest semigroup decomposition (the override must still satisfy the
-    defining identity).
+    lex-smallest semigroup decomposition; the override must be an admissible
+    monomial toward that neighbour (:func:`diagram.admissible_edge`).
     """
     report = check_conditions(diagram)
     if not (report.edge_determinant and report.semigroup):
@@ -383,14 +383,17 @@ def build_system(diagram: SpliceDiagram, coeffs=None, tails=None, coweights=None
         exponents = []
         for u in star:
             override = coweights.get((v, u))
-            if override is not None:
-                _check_coweight_override(diagram, v, u, override)
-                coeff_map = override
-            else:
-                coeff_map = report.admissible[(v, u)].coeffs
-            exponents.append(
-                tuple(coeff_map.get(leaf, 0) for leaf in diagram.leaves)
-            )
+            if override is None:
+                exponents.append(report.admissible[(v, u)].exponent(diagram.leaves))
+                continue
+            exponent = tuple(override.get(leaf, 0) for leaf in diagram.leaves)
+            if not all(map(diagram.is_leaf, override)) or (
+                admissible_edge(diagram, v, exponent) != u
+            ):
+                raise ConditionViolation(
+                    f"override for ({v!r}, {u!r}) is not an admissible monomial toward {u!r}"
+                )
+            exponents.append(exponent)
         exponents = tuple(exponents)
         blocks[v] = NodeBlock(node=v, star=star, exponents=exponents, matrix=matrix)
         for i in range(len(star) - 2):
@@ -402,15 +405,6 @@ def build_system(diagram: SpliceDiagram, coeffs=None, tails=None, coweights=None
                 raise TailViolation(f"tail for ({v!r}, {i + 1}) breaks the weight bounds")
             equations.append(Equation(node=v, index=i + 1, minimal=minimal, tail=tail))
     return SpliceSystem(diagram, blocks, equations)
-
-
-def _check_coweight_override(diagram, v, u, coeff_map):
-    beyond = set(diagram.leaves_beyond(v, u))
-    if any(leaf not in beyond for leaf in coeff_map):
-        raise ConditionViolation(f"override for ({v!r}, {u!r}) leaves its support")
-    total = sum(a * diagram.reduced_linking(v, leaf) for leaf, a in coeff_map.items())
-    if total != diagram.weight(v, u) or any(a < 0 for a in coeff_map.values()):
-        raise ConditionViolation(f"override for ({v!r}, {u!r}) misses the edge weight")
 
 
 def predicted_initial_form(system: SpliceSystem, v, i, u) -> Polynomial:

@@ -128,6 +128,21 @@ def test_semigroup_leaf_edge(d1):
     assert semigroup_decompose(d1, "u", ("l1", "u")) == adm
 
 
+def test_admissible_edge(d1):
+    admissible_edge = diagram_module.admissible_edge
+    assert admissible_edge(d1, "v", (1, 4, 0, 0, 0)) == "u"
+    assert admissible_edge(d1, "v", (3, 1, 0, 0, 0)) == "u"
+    assert admissible_edge(d1, "v", (0, 0, 7, 0, 0)) == "l3"
+    assert admissible_edge(d1, "u", (0, 0, 0, 1, 1)) == "v"
+    for exponent in [
+        (0, 0, 0, 0, 0),   # zero
+        (1, 3, 0, 0, 0),   # pairs to 9, not d(v, u) = 11
+        (1, 0, 8, 0, 0),   # pairs to 11 across two edges
+        (-1, 7, 0, 0, 0),  # pairs to 11 with a negative entry
+    ]:
+        assert admissible_edge(d1, "v", exponent) is None
+
+
 def test_semigroup_infeasible():
     d = SpliceDiagram(
         ["l1", "l2", "l3", "l4"],

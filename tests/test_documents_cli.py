@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import worked_coefficients
+from conftest import system_for, worked_coefficients
 from splicefan import (
+    ConditionViolation,
     DocumentError,
     Polynomial,
     build_system,
@@ -137,6 +138,62 @@ def test_system_doc_refuses_an_equation_off_the_nodes():
     bad["equations"].append({"node": "zz", "index": 1, "terms": []})
     with pytest.raises(DocumentError, match="'zz', which is not a node"):
         system_from_doc(bad)
+
+
+DATA = Path(__file__).with_name("data")
+DIAGRAM_40 = DATA / "random_40_14_seed0.json"
+
+
+@pytest.mark.parametrize("seed", [None, 12])
+def test_system_doc_round_trips_on_every_recorded_diagram(seed):
+    """Vandermonde or seed-12 random coefficients, on the recorded generator
+    outputs and the 40-leaf document."""
+    diagrams = [e["diagram"] for e in json.loads((DATA / "random_diagrams.json").read_text())]
+    diagrams.append(json.loads(DIAGRAM_40.read_text()))
+    for diagram in diagrams:
+        doc = system_to_doc(system_for(diagram_from_doc(diagram), seed))
+        assert system_to_doc(system_from_doc(doc)) == doc
+
+
+def _read_changed(change):
+    """Read d1's system document back after ``change``."""
+    def call(d1):
+        doc = system_to_doc(build_system(d1, coeffs=worked_coefficients()))
+        change(doc)
+        system_from_doc(doc)
+    return call
+
+
+def _term(doc, index, m):
+    return next(t for t in doc["equations"][index]["terms"] if t["m"] == m)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(
+        _read_changed(lambda doc: doc["equations"][0]["terms"].append(
+            dict(doc["equations"][0]["terms"][0]))),
+        DocumentError, "repeats", id="repeated-exponent"),
+    pytest.param(
+        _read_changed(lambda doc: doc["equations"][0]["terms"][0].update(c="0")),
+        DocumentError, "coefficient 0", id="zero-coefficient"),
+    pytest.param(
+        _read_changed(lambda doc: doc["equations"][0].update(
+            tail=[{"c": "1", "m": [-1, 9, 9, 9, 9]}])),
+        DocumentError, "negative entry", id="negative-entry"),
+    pytest.param(
+        _read_changed(lambda doc: _term(doc, 2, [1, 4, 0, 0, 0]).update(m=[3, 1, 0, 0, 0])),
+        DocumentError, "two admissible monomials at", id="two-monomials-for-one-edge"),
+    pytest.param(
+        _read_changed(lambda doc: doc["equations"][0]["terms"].remove(
+            _term(doc, 0, [2, 0, 0, 0, 0]))),
+        DocumentError, "no admissible monomial at", id="edge-with-none"),
+    pytest.param(
+        lambda d1: build_system(d1, coweights={("v", "u"): {"l1": 1, "l3": 8}}),
+        ConditionViolation, "not an admissible monomial toward", id="override-off-its-edge"),
+])
+def test_system_refusals(d1, call, error, match):
+    with pytest.raises(error, match=match):
+        call(d1)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -311,13 +368,10 @@ def test_cli_system_searches_each_edge_weight_once(tmp_path, monkeypatch, capsys
     assert len(calls) == 13
 
 
-DIAGRAM_40 = Path(__file__).with_name("data") / "random_40_14_seed0.json"
-
-
 @pytest.mark.parametrize("leaf", ["l1", "l2", "l3", "l4", "l5", "l6"])
 def test_cli_endcurve_past_the_ladder_reports_instead_of_crashing(leaf):
-    # random --leaves 40 --nodes 14 --seed 0 --coprime; its end-curves have
-    # kernel shifts too large for the floating-point guess
+    # random --leaves 40 --nodes 14 --seed 0 --coprime; its numeric
+    # end-curves fail substitution
     proc = subprocess.run(
         [sys.executable, "-m", "splicefan.cli", "endcurve", str(DIAGRAM_40), "--root", leaf],
         capture_output=True,

@@ -389,10 +389,7 @@ def _reduce_columns_reference(mat, kernels):
         if weight == 0:
             continue
         for j in range(n_cols):
-            try:
-                guess = -round(sum(mat[k][j] * kernel[k] for k in range(width)) / weight)
-            except OverflowError:
-                raise SolveFailed("kernel shift too large for a floating-point guess") from None
+            guess = -round(Fraction(sum(mat[k][j] * kernel[k] for k in range(width)), weight))
             best, best_cost = 0, None
             for t in range(guess - 2, guess + 3):
                 cost = sum(abs(mat[k][j] + t * kernel[k]) for k in range(width))
@@ -708,8 +705,8 @@ def test_solve_refuses_what_is_not_an_end_curve_system(rows, width):
 
 def test_forty_leaf_roots_refuse_as_recorded():
     """Every root of the recorded 40-leaf diagram raises the recorded
-    exception class and message (36 kernel-shift refusals, 4 failed
-    substitutions)."""
+    exception class and message: at each of the 40 roots, the numeric
+    components fail substitution."""
     recorded = json.loads(OUTCOMES_40.read_text())
     assert recorded["diagram"] == DIAGRAM_40.name
     d = diagram_from_doc(json.loads(DIAGRAM_40.read_text()))

@@ -301,6 +301,15 @@ def test_build_rejects_bad_tail(d1):
         build_system(d1, tails={("u", 1): Polynomial.monomial((0, 0, 0, 1, 1))})
 
 
+def test_build_rejects_a_laurent_tail(d1):
+    """A negative exponent entry is refused, although this one weighs more
+    than every bound."""
+    laurent = Polynomial.monomial((-1, 9, 9, 9, 9))
+    assert not validate_tail(d1, "u", laurent)
+    with pytest.raises(TailViolation):
+        build_system(d1, tails={("u", 1): laurent})
+
+
 def test_tail_implication(pool_small):
     """Above the node's own bound, every other node's bound follows."""
     rng = random.Random(9)
