@@ -8,6 +8,7 @@ vector produced downstream.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import cache
 from math import gcd
@@ -82,9 +83,51 @@ class SpliceDiagram:
             v: tuple(sorted(nbrs, key=lambda x: order.get(x, (2, 0))))
             for v, nbrs in adjacency.items()
         }
-        self._branches = {}  # (v, u) -> branch_table of the directed edge
-        self._rows = {}  # v -> {x: (linking number, reduced linking number)}
+        self._index_tree()
         self._conditions = None
+
+    def _index_tree(self):
+        """One iterative depth-first walk from the first vertex, then from
+        each vertex it did not reach, over whatever graph the edges make.
+
+        It keeps, in linear size: each vertex's parent (None at a root), its
+        Euler interval [enter, exit) (the preorder numbers of its subtree),
+        each node's total weight (when none of its weights is missing), and
+        whether the graph is a tree (one walk reached every vertex and there
+        is one edge fewer than vertices).  Input that :func:`validate`
+        rejects is indexed too, so construction never fails.
+        """
+        adjacent, weights = self._adj, self._weights
+        parent, enter, order, roots = {}, {}, [], 0
+        for r in adjacent:
+            if r in parent:
+                continue
+            roots += 1
+            parent[r] = None
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                enter[x] = len(order)
+                order.append(x)
+                for y in adjacent[x]:
+                    if y not in parent:
+                        parent[y] = x
+                        stack.append(y)
+        # a subtree is the run of preorder numbers from its root to its
+        # last descendant, so a vertex's exit is its last child's
+        exit_ = {}
+        for x in reversed(order):
+            end = exit_.setdefault(x, enter[x] + 1)
+            p = parent[x]
+            if p is not None and p not in exit_:
+                exit_[p] = end
+        total = {}
+        for v in self.nodes:
+            ws = [weights.get((v, u)) for u in adjacent[v]]
+            if None not in ws:
+                total[v] = math.prod(ws)
+        self._parent, self._enter, self._exit, self._total = parent, enter, exit_, total
+        self._tree = roots == 1 and len(self._raw_edges) == len(order) - 1
 
     # -- basic structure ----------------------------------------------------
 
@@ -123,18 +166,30 @@ class SpliceDiagram:
         return self._weights[(v, u)]
 
     def total_weight(self, v) -> int:
-        return _weights_off(self._adj, self._weights, v)
+        """Product of v's half-edge weights (1 at a leaf, which carries none)."""
+        return 1 if v in self._leaf_index else self._total[v]
 
     def weights_off(self, x, a, b=None) -> int:
         """Product of x's weights toward its neighbours other than a and b
         (1 at a leaf)."""
         return _weights_off(self._adj, self._weights, x, a, b)
 
+    def _require_tree(self):
+        if not self._tree:
+            raise ValueError("the diagram's graph is not a tree; validate() says why")
+
     def first_step(self, v, x):
-        """The neighbour of v whose branch holds x."""
-        for u in self._adj[v]:
-            if x in self._branch(v, u):
-                return u
+        """The neighbour of v whose branch holds x: v's parent unless x lies
+        in v's Euler interval, else the child whose interval holds x."""
+        self._require_tree()
+        enter, exit_ = self._enter, self._exit
+        if x != v and x in enter and v in enter:
+            t = enter[x]
+            if not enter[v] < t < exit_[v]:
+                return self._parent[v]
+            for u in self._adj[v]:
+                if self._parent[u] == v and enter[u] <= t < exit_[u]:
+                    return u
         raise KeyError(f"no first step from {v!r} to {x!r}")
 
     def geodesic(self, u, v):
@@ -159,53 +214,75 @@ class SpliceDiagram:
         path.reverse()
         return path
 
-    def _branch(self, v, u):
-        if u not in self._adj[v]:
+    def _beyond_interval(self, v, u):
+        """The side beyond the edge [v, u] as a test on preorder numbers:
+        (lo, hi, inside), x beyond exactly when (lo <= enter[x] < hi) == inside."""
+        self._require_tree()
+        if v not in self._adj or u not in self._adj[v]:
             raise KeyError(f"({v!r}, {u!r}) is not an edge")
-        return branch_table(self._branches, self._adj, self._weights, v, u)
+        if self._parent[u] == v:
+            return self._enter[u], self._exit[u], True
+        return self._enter[v], self._exit[v], False
 
     def leaves_beyond(self, v, u):
         """Leaves whose geodesic from v starts with the edge [v, u], in leaf order."""
-        side = self._branch(v, u)
-        return [l for l in self.leaves if l in side]
+        lo, hi, inside = self._beyond_interval(v, u)
+        enter = self._enter
+        return [l for l in self.leaves if (lo <= enter[l] < hi) == inside]
 
     def nodes_beyond(self, v, u):
         """Nodes whose geodesic from v starts with the edge [v, u], in node order."""
-        side = self._branch(v, u)
-        return [x for x in self.nodes if x in side]
+        lo, hi, inside = self._beyond_interval(v, u)
+        enter = self._enter
+        return [x for x in self.nodes if (lo <= enter[x] < hi) == inside]
 
     # -- linking numbers -----------------------------------------------------
 
-    def _row(self, v, x):
-        """(linking number, reduced linking number) from v to x.
+    def linking_row(self, v):
+        """{x: (linking number, reduced linking number) from v to x} over
+        every vertex x other than v, and v itself at a node, where the pair
+        is (total weight, 1).
 
-        v's row is read off the tables of the edges at v on first use and
-        kept once complete.
+        Built by one walk over the tree on every call and not kept: a caller
+        that reads several entries of one row takes the row once.
         """
-        row = self._rows.get(v)
-        if row is None:
-            row = {v: (self.total_weight(v), 1)} if v in self._node_set else {}
-            for u in self._adj[v]:
-                near = self.weights_off(v, u)
-                for y, (through, end) in self._branch(v, u).items():
-                    row[y] = (near * through * end, through)
-            self._rows[v] = row
-        try:
-            return row[x]
-        except KeyError:
-            raise KeyError(f"unknown vertex pair ({v!r}, {x!r})") from None
+        self._require_tree()
+        if v not in self._adj:
+            raise KeyError(f"unknown vertex {v!r}")
+        adjacent, weights = self._adj, self._weights
+        total = self._total[v] if v in self._node_set else None  # a leaf has no weights
+        row = {} if total is None else {v: (total, 1)}
+        for u in adjacent[v]:
+            near = 1 if total is None else total // weights[(v, u)]
+            row.update(walk_beyond(adjacent, weights, v, u, near))
+        return row
+
+    def side_row(self, v, u):
+        """v's row restricted to the vertices beyond the edge [v, u], from
+        one walk of that side."""
+        self._require_tree()
+        if v not in self._adj or u not in self._adj[v]:
+            raise KeyError(f"({v!r}, {u!r}) is not an edge")
+        return walk_beyond(self._adj, self._weights, v, u, self.weights_off(v, u))
+
+    def _entry(self, v, x):
+        row = self.linking_row(v)
+        if x not in row:
+            raise KeyError(f"unknown vertex pair ({v!r}, {x!r})")
+        return row[x]
 
     def linking_number(self, u, v) -> int:
         """Product of the weights adjacent to, but not on, the geodesic [u, v]."""
-        return self._row(u, v)[0]
+        return self._entry(u, v)[0]
 
     def reduced_linking(self, v, u) -> int:
         """Like linking_number but omitting the weights around both endpoints."""
-        return self._row(v, u)[1]
+        return self._entry(v, u)[1]
 
     def node_weight_vector(self, v) -> tuple[int, ...]:
         """The vector of linking numbers from node v to every leaf, in leaf order."""
-        return tuple(self.linking_number(v, leaf) for leaf in self.leaves)
+        row = self.linking_row(v)
+        return tuple(row[leaf][0] for leaf in self.leaves)
 
     # -- construction helpers ------------------------------------------------
 
@@ -229,35 +306,36 @@ def _weights_off(adjacent, weights, x, a=None, b=None):
     return out
 
 
-def branch_table(memo, adjacent, weights, v, u):
-    """What lies beyond the directed edge [v, u], memoised in ``memo``.
+def walk_beyond(adjacent, weights, v, u, near=1):
+    """The side beyond the edge [v, u] from one iterative walk:
+    {x: (near * through * end, through)} over every vertex x whose geodesic
+    from v starts with [v, u].
 
-    Maps every vertex x whose geodesic from v starts with [v, u] to the pair
-    (through, end): through is the product of the weights adjacent to the
-    interior of the path v...x and off it, end the product of x's own
-    weights off the path (1 at a leaf).  So l'(v, x) = through and
-    l(v, x) = (v's weights off u) * through * end.  The entries run over u,
-    then each branch at u in adjacency order.
-
-    Only weights beyond u, pointing away from v, are read, so the generator
-    can ask for a direction before the weights toward v are drawn.  A table
-    is stored only once it is complete.
+    through is the product of the weights adjacent to the interior of the
+    path v...x and off it, end the product of x's own weights off the path
+    (1 at a leaf).  With near = v's weights off u the pair is
+    (l(v, x), l'(v, x)).  Only weights beyond u, pointing away from v, are
+    read, so the generator walks a direction (with near = 1) before the
+    weights toward v are drawn.
     """
-    table = memo.get((v, u))
-    if table is not None:
-        return table
-    table = {u: (1, _weights_off(adjacent, weights, u, v))}
-    for y in adjacent[u]:
-        if y == v:
+    side = {}
+    stack = [(u, v, near, 1)]
+    while stack:
+        x, back, outer, through = stack.pop()  # outer = near * through
+        nbrs = adjacent[x]
+        if len(nbrs) == 1:  # a leaf: no weights, nothing beyond it
+            side[x] = (outer, through)
             continue
-        factor = _weights_off(adjacent, weights, u, v, y)
-        if len(adjacent[y]) == 1:  # a leaf: no table of its own
-            table[y] = (factor, 1)
-            continue
-        for x, (through, end) in branch_table(memo, adjacent, weights, u, y).items():
-            table[x] = (factor * through, end)
-    memo[(v, u)] = table
-    return table
+        end = 1
+        for y in nbrs:
+            if y != back:
+                end *= weights[(x, y)]
+        side[x] = (outer * end, through)
+        for y in nbrs:
+            if y != back:
+                f = end // weights[(x, y)]
+                stack.append((y, x, outer * f, through * f))
+    return side
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +352,7 @@ def validate(diagram: SpliceDiagram) -> list[Violation]:
     if not diagram.nodes:
         out.append(Violation("AtLeastOneNode", "diagram declares no node"))
     edge_count = len(diagram._raw_edges)
-    if edge_count != len(verts) - 1 or not _connected(diagram):
+    if edge_count != len(verts) - 1 or not diagram._tree:
         out.append(Violation("Tree", "underlying graph is not a tree"))
         return out
     for v in verts:
@@ -298,20 +376,6 @@ def validate(diagram: SpliceDiagram) -> list[Violation]:
             if (leaf, u) in diagram._weights:
                 out.append(Violation("LeafWeight", f"leaf {leaf!r} carries a weight"))
     return out
-
-
-def _connected(diagram: SpliceDiagram) -> bool:
-    verts = diagram.vertices
-    if not verts:
-        return False
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        for y in diagram.neighbors(stack.pop()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +414,8 @@ def semigroup_decompose(diagram: SpliceDiagram, v, e):
         raise ValueError(f"{e!r} is not an edge at {v!r}")
     r = diagram.weight(v, u)
     support = diagram.leaves_beyond(v, u)
-    gens = [diagram.reduced_linking(v, leaf) for leaf in support]
+    side = diagram.side_row(v, u)
+    gens = [side[leaf][1] for leaf in support]
     rest_gcd = [0] * (len(gens) + 1)
     for i in range(len(gens) - 1, -1, -1):
         rest_gcd[i] = gcd(gens[i], rest_gcd[i + 1])
@@ -391,9 +456,10 @@ def admissible_edge(diagram: SpliceDiagram, v, exponent):
         return None
     support = [(leaf, e) for leaf, e in zip(diagram.leaves, exponent) if e]
     u = diagram.first_step(v, support[0][0])
-    side = diagram._branch(v, u)
-    total = sum(e * diagram.reduced_linking(v, leaf) for leaf, e in support)
-    return u if total == diagram.weight(v, u) and all(l in side for l, _ in support) else None
+    side = diagram.side_row(v, u)
+    if not all(leaf in side for leaf, _ in support):
+        return None
+    return u if sum(e * side[leaf][1] for leaf, e in support) == diagram.weight(v, u) else None
 
 
 class _Semigroups:
@@ -496,7 +562,7 @@ class ConditionReport(Record):
 
 def check_conditions(diagram: SpliceDiagram) -> ConditionReport:
     """The diagram's condition report, computed on the first call and kept
-    on the diagram, as its branch tables are."""
+    on the diagram."""
     report = diagram._conditions
     if report is None:
         report = diagram._conditions = _condition_report(diagram)
@@ -670,11 +736,10 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
         directions.append((b, a, subtree[a]))
     directions.sort(key=lambda t: t[2])
 
-    tables = {}
     for v, u, _ in directions:
         gens = sorted(
             through
-            for x, (through, _) in branch_table(tables, adjacency, weights, v, u).items()
+            for x, (_, through) in walk_beyond(adjacency, weights, v, u).items()
             if x not in used  # the leaves beyond
         )
         value = None

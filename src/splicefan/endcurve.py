@@ -37,7 +37,8 @@ class RootedDiagram(Record):
         return self.diagram.linking_number(self.root, leaf)
 
     def links(self) -> tuple:
-        return tuple(self.link(leaf) for leaf in self.others)
+        row = self.diagram.linking_row(self.root)
+        return tuple(row[leaf][0] for leaf in self.others)
 
 
 def root(diagram: SpliceDiagram, r) -> RootedDiagram:
@@ -333,7 +334,8 @@ def torus_components(system: SpliceSystem, v, u):
     """
     diagram = system.diagram
     leaves = diagram.leaves_beyond(v, u)
-    links = [diagram.reduced_linking(v, leaf) for leaf in leaves]
+    side = diagram.side_row(v, u)
+    links = [side[leaf][1] for leaf in leaves]
     g = gcd_list(links)
     if g > MAX_COMPONENTS:
         raise SolveFailed(f"{g} components exceed the bound of {MAX_COMPONENTS}")

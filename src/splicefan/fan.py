@@ -95,32 +95,33 @@ def splice_fan(diagram: SpliceDiagram) -> SpliceFan:
     The multiplicity of a leaf cone [l, u] is gcd(link(u, m) : m != l) over
     the weight at u toward l; for an internal cone [u, v] it is the product
     of the two side gcds over the product of the two edge weights.  Both
-    divisions are checked exact.
+    divisions are checked exact.  Each node's row of linking numbers is
+    walked once, and only its gcds toward each neighbour are kept from it.
     """
     rays = [
         Ray(label=leaf, vector=tuple(int(i == k) for i in range(diagram.n)))
         for k, leaf in enumerate(diagram.leaves)
     ]
-    rays += [
-        Ray(label=v, vector=primitive(diagram.node_weight_vector(v)))
-        for v in diagram.nodes
-    ]
+    # gcds[(v, u)]: gcd of link(v, m) over the leaves m on v's side of [v, u]
+    # at an internal edge, over every leaf but u at a leaf edge
+    gcds = {}
+    for v in diagram.nodes:
+        w = diagram.node_weight_vector(v)
+        rays.append(Ray(label=v, vector=primitive(w)))
+        for u in diagram.neighbors(v):
+            if diagram.is_leaf(u):
+                gcds[(v, u)] = gcd_list(x for m, x in zip(diagram.leaves, w) if m != u)
+            else:
+                side = set(diagram.leaves_beyond(u, v))
+                gcds[(v, u)] = gcd_list(x for m, x in zip(diagram.leaves, w) if m in side)
     cones = []
     for a, b in diagram.edges():
         if diagram.is_leaf(a) or diagram.is_leaf(b):
             leaf, node = (a, b) if diagram.is_leaf(a) else (b, a)
-            g = gcd_list(
-                diagram.linking_number(node, m)
-                for m in diagram.leaves
-                if m != leaf
-            )
+            g = gcds[(node, leaf)]
             mult = _exact_div(g, diagram.weight(node, leaf), f"cone [{leaf},{node}]")
         else:
-            g = gcd_list(
-                diagram.linking_number(a, l) for l in diagram.leaves_beyond(b, a)
-            ) * gcd_list(
-                diagram.linking_number(b, l) for l in diagram.leaves_beyond(a, b)
-            )
+            g = gcds[(a, b)] * gcds[(b, a)]
             mult = _exact_div(
                 g,
                 diagram.weight(a, b) * diagram.weight(b, a),
@@ -146,7 +147,8 @@ def barycenter(diagram: SpliceDiagram, v, leaves):
     leaves = list(leaves)
     if not leaves:
         raise ValueError("barycenter needs at least one leaf")
-    weights = {l: diagram.linking_number(v, l) for l in leaves}
+    row = diagram.linking_row(v)
+    weights = {l: row[l][0] for l in leaves}
     total = sum(weights.values())
     return tuple(
         Fraction(weights.get(l, 0), total) for l in diagram.leaves

@@ -341,16 +341,19 @@ class SpliceSystem:
 def validate_tail(diagram: SpliceDiagram, v, tail: Polynomial) -> bool:
     """Every tail exponent must be non-negative, weigh strictly more than the
     node's own admissible value at v and strictly more than the linking
-    number at every other node."""
+    number at every other node.  Each node's row is walked once."""
     if not tail:
         return True
+    support = tail.support()
     wv = diagram.node_weight_vector(v)
     dv = diagram.total_weight(v)
-    for m in tail.support():
-        if min(m) < 0 or dot(wv, m) <= dv:
-            return False
-        for u in diagram.nodes:
-            if u != v and dot(diagram.node_weight_vector(u), m) <= diagram.linking_number(u, v):
+    if any(min(m) < 0 or dot(wv, m) <= dv for m in support):
+        return False
+    for u in diagram.nodes:
+        if u != v:
+            row = diagram.linking_row(u)
+            wu = tuple(row[leaf][0] for leaf in diagram.leaves)
+            if any(dot(wu, m) <= row[v][0] for m in support):
                 return False
     return True
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: the two-node worked example, stars, diagram pools and
-the end-curve solve inputs of the benchmark ladder."""
+"""Shared fixtures: the two-node worked example, stars, diagram pools, the
+end-curve solve inputs of the benchmark ladder and documents that are not
+trees."""
 
 import random
 from fractions import Fraction
@@ -20,6 +21,36 @@ from splicefan import (
 LADDER = ((6, 1), (6, 2), (6, 4), (7, 1), (7, 3), (8, 1), (8, 2), (8, 4),
           (9, 1), (9, 3), (10, 1), (10, 2), (10, 5), (11, 1), (11, 3),
           (12, 1), (12, 2), (12, 4))
+
+
+# documents whose graph is not a tree: a triangle of nodes with a leaf at
+# each, and two disjoint stars
+NOT_A_TREE = {
+    "cycle": {
+        "leaves": ["l1", "l2", "l3"],
+        "nodes": ["a", "b", "c"],
+        "edges": [
+            {"a": "a", "b": "l1", "wa": 2},
+            {"a": "b", "b": "l2", "wa": 3},
+            {"a": "c", "b": "l3", "wa": 5},
+            {"a": "a", "b": "b", "wa": 7, "wb": 11},
+            {"a": "b", "b": "c", "wa": 13, "wb": 17},
+            {"a": "c", "b": "a", "wa": 19, "wb": 23},
+        ],
+    },
+    "disconnected": {
+        "leaves": ["l1", "l2", "l3", "l4", "l5", "l6"],
+        "nodes": ["a", "b"],
+        "edges": [
+            {"a": "a", "b": "l1", "wa": 2},
+            {"a": "a", "b": "l2", "wa": 3},
+            {"a": "a", "b": "l3", "wa": 5},
+            {"a": "b", "b": "l4", "wa": 2},
+            {"a": "b", "b": "l5", "wa": 3},
+            {"a": "b", "b": "l6", "wa": 5},
+        ],
+    },
+}
 
 
 def make_d1():

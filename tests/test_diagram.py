@@ -2,12 +2,15 @@
 
 import gc
 import json
+import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import LADDER
+from chain_probe import chain_doc, probe
+from conftest import LADDER, NOT_A_TREE
 from splicefan import (
     GenerationExhausted,
     SpliceDiagram,
@@ -363,17 +366,19 @@ def test_cone_decomposition(pool_small, d1):
                         assert value == 0
 
 
-# -- the per-edge tables against their definitions ----------------------------
+# -- the tree index and the linking rows against their definitions -----------
 
 DATA = Path(__file__).with_name("data")
 
 
 @pytest.fixture(scope="module")
-def table_pool(pool_small):
-    """pool_small, the recorded generator outputs and the 40-leaf document,
-    each loaded afresh so that no table is built before the test reads it."""
+def index_pool(pool_small):
+    """pool_small, the 142 recorded generator outputs and the 40-leaf
+    document, each loaded afresh."""
     docs = [diagram_to_doc(d) for d in pool_small]
-    docs += [entry["diagram"] for entry in json.loads((DATA / "random_diagrams.json").read_text())]
+    recorded = json.loads((DATA / "random_diagrams.json").read_text())
+    assert len(recorded) == 142
+    docs += [entry["diagram"] for entry in recorded]
     docs.append(json.loads((DATA / "random_40_14_seed0.json").read_text()))
     return [diagram_from_doc(doc) for doc in docs]
 
@@ -390,37 +395,53 @@ def _weights_off_path(d, path, interior_only=False):
     return out
 
 
-def test_linking_numbers_are_products_off_the_geodesic(table_pool):
-    for d in table_pool:
+def _sizes(d):
+    return {name: len(value) for name, value in vars(d).items() if hasattr(value, "__len__")}
+
+
+def test_linking_numbers_are_products_off_the_geodesic(index_pool):
+    """Every row of l and l' against the products off each geodesic, and
+    reading rows keeps nothing on the diagram."""
+    for d in index_pool:
+        sizes = _sizes(d)
         for u in d.vertices:
-            for v in d.vertices:
-                if u == v and d.is_leaf(u):
-                    continue
-                path = d.geodesic(u, v)
-                assert d.linking_number(u, v) == _weights_off_path(d, path)
-                assert d.reduced_linking(u, v) == _weights_off_path(d, path, True)
-        for v in d.nodes:
-            assert d.linking_number(v, v) == d.total_weight(v)
+            expected = {
+                v: (_weights_off_path(d, path), _weights_off_path(d, path, True))
+                for v, path in ((v, d.geodesic(u, v)) for v in d.vertices if v != u)
+            }
+            if d.is_node(u):
+                expected[u] = (d.total_weight(u), 1)
+            assert d.linking_row(u) == expected
+            for w in d.neighbors(u):
+                assert d.side_row(u, w) == {
+                    x: pair for x, pair in expected.items() if x != u and d.first_step(u, x) == w
+                }
+            v = d.vertices[-1 if u == d.vertices[0] else 0]
+            assert (d.linking_number(u, v), d.reduced_linking(u, v)) == expected[v]
+        assert _sizes(d) == sizes
 
 
-def test_first_step_and_sides_follow_the_geodesic(table_pool):
-    for d in table_pool:
+def test_first_step_and_sides_follow_the_geodesic(index_pool):
+    for d in index_pool:
         for v in d.vertices:
-            for x in d.vertices:
-                if x != v:
-                    assert d.first_step(v, x) == d.geodesic(v, x)[1]
+            paths = {x: d.geodesic(v, x) for x in d.vertices if x != v}
+            for x, path in paths.items():
+                assert d.first_step(v, x) == path[1]
             for u in d.neighbors(v):
-                side = [x for x in d.vertices if x != v and u in d.geodesic(v, x)]
-                assert d.leaves_beyond(v, u) == [x for x in side if d.is_leaf(x)]
-                assert d.nodes_beyond(v, u) == [x for x in side if d.is_node(x)]
+                side = {x for x, path in paths.items() if path[1] == u}
+                assert d.leaves_beyond(v, u) == [x for x in d.leaves if x in side]
+                assert d.nodes_beyond(v, u) == [x for x in d.nodes if x in side]
 
 
 def test_an_unknown_vertex_raises_key_error(d1):
     for call in (
         lambda: d1.linking_number("u", "nope"),
         lambda: d1.linking_number("nope", "u"),
+        lambda: d1.linking_number("l1", "l1"),
         lambda: d1.reduced_linking("u", "nope"),
         lambda: d1.reduced_linking("nope", "l1"),
+        lambda: d1.linking_row("nope"),
+        lambda: d1.side_row("u", "l3"),
         lambda: d1.first_step("u", "nope"),
         lambda: d1.first_step("nope", "u"),
         lambda: d1.first_step("u", "u"),
@@ -432,12 +453,40 @@ def test_an_unknown_vertex_raises_key_error(d1):
             call()
 
 
+def test_a_graph_that_is_not_a_tree_is_indexed_and_its_reads_refuse():
+    """Construction indexes any graph; validate names the Tree violation,
+    and the reads that need a tree raise ValueError instead of walking."""
+    for doc in NOT_A_TREE.values():
+        d = diagram_from_doc(doc)
+        assert "Tree" in {v.code for v in validate(d)}
+        assert d.total_weight("a") > 1 and d.total_weight("l1") == 1
+        for call in (
+            lambda: d.linking_row("a"),
+            lambda: d.side_row("a", "l1"),
+            lambda: d.linking_number("a", "l1"),
+            lambda: d.node_weight_vector("a"),
+            lambda: d.first_step("a", "l1"),
+            lambda: d.leaves_beyond("a", "l1"),
+            lambda: d.nodes_beyond("a", "l1"),
+        ):
+            with pytest.raises(ValueError, match="not a tree"):
+                call()
+
+
+def test_an_edge_to_an_undeclared_vertex_is_not_a_tree():
+    """Three edges on four declared vertices, one of them to an undeclared
+    x: the declared leaf l3 is cut off, so the graph is no tree."""
+    d = SpliceDiagram(
+        ["l1", "l2", "l3"], ["u"], [("u", "l1", 2, None), ("u", "l2", 3, None), ("u", "x", 5, None)]
+    )
+    assert [v.code for v in validate(d)] == ["Tree"]
+
+
 def test_threads_reading_a_fresh_diagram_get_the_single_thread_values():
     doc = json.loads((DATA / "random_40_14_seed0.json").read_text())
 
     def every_linking_number(d):
-        return {(u, v): (d.linking_number(u, v), d.reduced_linking(u, v))
-                for u in d.vertices for v in d.vertices if u != v}
+        return {u: d.linking_row(u) for u in d.vertices}
 
     expected = every_linking_number(diagram_from_doc(doc))
     shared = diagram_from_doc(doc)
@@ -454,3 +503,49 @@ def test_threads_reading_a_fresh_diagram_get_the_single_thread_values():
     for t in threads:
         t.join()
     assert all(result == expected for result in results)
+
+
+# -- deep chains ---------------------------------------------------------------
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("length, rows, bound_mb", [(1200, 5, 8), (10_000, 3, 80)])
+def test_the_linking_layer_on_deep_chains_is_iterative_and_linear(length, rows, bound_mb):
+    """Every edge determinant, the middle node's first steps and sides, and
+    whole rows of the 1,200- and 10,000-node chains, checked against closed
+    forms, under a recursion limit only 100 frames above the caller's, and
+    in bounded traced memory.  One row of the 10,000-node chain holds
+    20,002 pairs of up to 10,000 bits, about 25 MB."""
+    limit = sys.getrecursionlimit()
+    tracemalloc.start()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        probe(length, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        sys.setrecursionlimit(limit)
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20, peak
+
+
+def test_check_conditions_on_a_deep_chain_recurses_only_in_the_semigroup_search():
+    """The 1,200-node chain still exceeds the recursion limit, but only in
+    _Semigroups: every linking number the search reads comes from a walk."""
+    d = diagram_from_doc(chain_doc(1200))
+    with pytest.raises(RecursionError) as info:
+        check_conditions(d)
+    names, tb = [], info.tb
+    while tb is not None:
+        names.append(tb.tb_frame.f_code.co_qualname)
+        tb = tb.tb_next
+    search = [i for i, name in enumerate(names) if name.startswith("_Semigroups.")]
+    # the limit is hit in the search's recursion or in a diagram accessor
+    # that its deepest frame calls (is_node, weights_off, ...)
+    assert len(search) > 500 and len(names) - 1 - search[-1] <= 2, names[-5:]
+    linking = ("SpliceDiagram.linking_row", "SpliceDiagram.side_row", "walk_beyond")
+    assert not any(name in linking for name in names)

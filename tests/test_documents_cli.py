@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import system_for, worked_coefficients
+from chain_probe import chain_doc
+from conftest import NOT_A_TREE, system_for, worked_coefficients
 from splicefan import (
     ConditionViolation,
     DocumentError,
@@ -387,22 +388,10 @@ def test_cli_endcurve_past_the_ladder_reports_instead_of_crashing(leaf):
         assert report["status"] == "ok"
 
 
-def _chain_doc(length):
-    """A path of ``length`` nodes, one leaf at each node and two at each end."""
-    nodes = [f"n{i}" for i in range(1, length + 1)]
-    leaves, edges = [], []
-    for i, node in enumerate(nodes):
-        for weight in (2, 3) if i in (0, length - 1) else (2,):
-            leaves.append(f"l{len(leaves) + 1}")
-            edges.append({"a": node, "b": leaves[-1], "wa": weight})
-    edges += [{"a": a, "b": b, "wa": 1, "wb": 1} for a, b in zip(nodes, nodes[1:])]
-    return {"leaves": leaves, "nodes": nodes, "edges": edges}
-
-
 @pytest.fixture(scope="module")
 def chain_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("docs") / "chain.json"
-    path.write_text(json.dumps(_chain_doc(1200)))
+    path.write_text(json.dumps(chain_doc(1200)))
     return str(path)
 
 
@@ -418,6 +407,26 @@ def test_cli_refuses_a_diagram_deeper_than_the_recursion_limit(chain_path, comma
     report = json.loads(proc.stdout)
     assert report["command"] == command and report["status"] == "error"
     assert report["payload"]["error"] == "RecursionError"
+
+
+@pytest.mark.parametrize("shape", sorted(NOT_A_TREE))
+@pytest.mark.parametrize("command", ["check", "fan", "roundtrip", "endcurve"])
+def test_cli_refuses_a_graph_that_is_not_a_tree(tmp_path, shape, command):
+    """The diagram's tree index is built before validation; a cycle or a
+    second component still gets the Tree violation, exit 1 and no traceback."""
+    path = tmp_path / f"{shape}.json"
+    path.write_text(json.dumps(NOT_A_TREE[shape]))
+    extra = ["--root", "l1"] if command == "endcurve" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "splicefan.cli", command, str(path), *extra],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+    report = json.loads(proc.stdout)
+    assert report["status"] == "violation"
+    assert "Tree" in [v["code"] for v in report["payload"]["violations"]]
 
 
 def test_cli_system_and_initial(d1_path):
