@@ -65,12 +65,7 @@ from .fan import (
     smoothness_smoke,
     splice_fan,
 )
-from .recover import (
-    diagrams_isomorphic,
-    recover,
-    recover_star,
-    roundtrip,
-)
+from .recover import recover, roundtrip
 from .system import (
     CoefficientMatrix,
     Equation,

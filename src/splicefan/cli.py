@@ -24,7 +24,6 @@ from .errors import (
     GenerationExhausted,
     NonCoprimeFan,
     NotRealizable,
-    SolveFailed,
     SpliceError,
     VerificationFailed,
 )
@@ -246,7 +245,7 @@ def _cmd_recover(args):
         raise _Refusal("error", {"message": str(exc)}, EXIT_PARSE)
     try:
         diagram = recover(fan)
-    except (NonCoprimeFan, NotRealizable, SolveFailed, VerificationFailed) as exc:
+    except (NonCoprimeFan, NotRealizable, VerificationFailed) as exc:
         raise _Refusal(
             "violation",
             {"error": type(exc).__name__, "message": str(exc)},

@@ -55,7 +55,8 @@ class SpliceDiagram:
     ``edges`` entries are ``(a, b, wa, wb)`` with ``wa``/``wb`` the half-edge
     weights at the corresponding endpoint (None at a leaf endpoint).
     Construction never validates; run :func:`validate` to collect violations
-    before using any derived quantity.
+    before using any derived quantity.  ``is_tree`` says whether the edges
+    make one tree on the vertices they name.
     """
 
     def __init__(self, leaves, nodes, edges):
@@ -127,7 +128,7 @@ class SpliceDiagram:
             if None not in ws:
                 total[v] = math.prod(ws)
         self._parent, self._enter, self._exit, self._total = parent, enter, exit_, total
-        self._tree = roots == 1 and len(self._raw_edges) == len(order) - 1
+        self.is_tree = roots == 1 and len(self._raw_edges) == len(order) - 1
 
     # -- basic structure ----------------------------------------------------
 
@@ -175,7 +176,7 @@ class SpliceDiagram:
         return _weights_off(self._adj, self._weights, x, a, b)
 
     def _require_tree(self):
-        if not self._tree:
+        if not self.is_tree:
             raise ValueError("the diagram's graph is not a tree; validate() says why")
 
     def first_step(self, v, x):
@@ -352,7 +353,7 @@ def validate(diagram: SpliceDiagram) -> list[Violation]:
     if not diagram.nodes:
         out.append(Violation("AtLeastOneNode", "diagram declares no node"))
     edge_count = len(diagram._raw_edges)
-    if edge_count != len(verts) - 1 or not diagram._tree:
+    if edge_count != len(verts) - 1 or not diagram.is_tree:
         out.append(Violation("Tree", "underlying graph is not a tree"))
         return out
     for v in verts:

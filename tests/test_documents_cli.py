@@ -1,6 +1,7 @@
 """JSON schemas and the command-line front end."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from splicefan import (
     check_conditions,
     cli,
     random_diagram,
+    splice_fan,
 )
 from splicefan import diagram as diagram_module
 from splicefan.documents import (
@@ -537,3 +539,53 @@ def test_cli_rejects_mistyped_documents(command, doc, tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["status"] == "error"
     assert err == ""
+
+
+def _one_field_mutants(doc, count, rng):
+    """count copies of a fan document, each with one field replaced: n, a
+    ray label or vector entry, a cone's ray or its multiplicity."""
+    fields = [(doc, "n")]
+    for ray in doc["rays"]:
+        fields.append((ray, "label"))
+        fields += [(ray["vector"], k) for k in range(len(ray["vector"]))]
+    for cone in doc["cones"]:
+        fields += [(cone["rays"], 0), (cone["rays"], 1), (cone, "multiplicity")]
+    labels = [ray["label"] for ray in doc["rays"]]
+    for _ in range(count):
+        holder, key = rng.choice(fields)
+        value = holder[key]
+        if isinstance(value, str):
+            new = rng.choice([rng.choice(labels), "w", "", 7, None])
+        else:
+            new = rng.choice([0, 1, -1, value + 1, 2 * value, 3 * value + 1, 10 ** 40,
+                              "x", None, 2.5])
+        holder[key] = new
+        yield json.loads(json.dumps(doc))
+        holder[key] = value
+
+
+RECOVER_REFUSALS = {"NotRealizable", "NonCoprimeFan", "VerificationFailed"}
+
+
+def test_cli_recover_answers_one_field_mutants_with_one_report(tmp_path, capsys):
+    """About 300 seeded one-field mutations of the golden corpus's fan_d1.json
+    and of a 12-leaf fan: each exits 0, 1 or 2 with one JSON report and an
+    empty stderr, and each refusal names a recovery error."""
+    corpus = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
+    fans = [json.loads(corpus["files"]["fan_d1.json"]),
+            fan_to_doc(splice_fan(random_diagram(12, 4, 0)))]
+    rng = random.Random(0)
+    path = tmp_path / "fan.json"
+    codes, errors = set(), set()
+    for doc in fans:
+        for mutant in _one_field_mutants(doc, 150, rng):
+            path.write_text(json.dumps(mutant))
+            code = cli.main(["recover", str(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2) and err == "", (mutant, code, err)
+            report = json.loads(out)
+            if code == 1:
+                assert report["payload"]["error"] in RECOVER_REFUSALS, (mutant, report)
+                errors.add(report["payload"]["error"])
+            codes.add(code)
+    assert codes == {0, 1, 2} and errors == RECOVER_REFUSALS

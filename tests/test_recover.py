@@ -8,6 +8,7 @@ outcome is intended:
     PYTHONPATH=src python tests/test_recover.py
 """
 
+import importlib
 import json
 import random
 from pathlib import Path
@@ -21,47 +22,25 @@ from splicefan import (
     Ray,
     SpliceDiagram,
     SpliceFan,
-    diagrams_isomorphic,
+    VerificationFailed,
+    random_diagram,
     recover,
-    recover_star,
     roundtrip,
     splice_fan,
 )
-from splicefan.documents import diagram_from_doc
+from splicefan.documents import diagram_from_doc, diagram_to_doc
+from splicefan.exact import gcd_list
 
 DATA = Path(__file__).with_name("data")
 MUTANT_OUTCOMES = DATA / "recover_mutant_outcomes.json"
 MUTANTS_PER_FAN = 4
-
-
-def test_recover_star_golden():
-    star = recover_star((15, 10, 6))
-    node = star.nodes[0]
-    assert [star.weight(node, l) for l in star.leaves] == [2, 3, 5]
-
-
-def test_recover_star_permutation_equivariant():
-    star = recover_star((6, 10, 15))
-    node = star.nodes[0]
-    assert [star.weight(node, l) for l in star.leaves] == [5, 3, 2]
-
-
-def test_recover_star_all_ones():
-    star = recover_star((1, 1, 1))
-    node = star.nodes[0]
-    assert [star.weight(node, l) for l in star.leaves] == [1, 1, 1]
-
-
-def test_recover_star_rejects_bad_input():
-    with pytest.raises(NotRealizable):
-        recover_star((2, 4, 6))  # not overall coprime
-    with pytest.raises(NotRealizable):
-        recover_star((3, 5))
+# the module, which the package's function of the same name shadows
+recover_module = importlib.import_module("splicefan.recover")
 
 
 def test_recover_worked_example(d1, d1_fan):
     recovered = recover(d1_fan)
-    assert diagrams_isomorphic(d1, recovered)
+    assert diagram_to_doc(recovered) == diagram_to_doc(d1)
     # the documented intermediate reads
     node_u = next(v for v in recovered.nodes if recovered.linking_number(v, "l1") == 147)
     node_v = next(v for v in recovered.nodes if v != node_u)
@@ -110,6 +89,37 @@ def _bridge(a, b):
     return _fan(D1_RAYS, D1_CONES[:2] + ((a, b),) + D1_CONES[3:])
 
 
+def _star_fan(w):
+    """The fan of a star: unit rays l1, l2, ... and the node ray w at n1."""
+    leaves = [f"l{k + 1}" for k in range(len(w))]
+    rays = {leaf: tuple(int(i == k) for i in range(len(w))) for k, leaf in enumerate(leaves)}
+    return _fan({**rays, "n1": w}, [("n1", leaf) for leaf in leaves])
+
+
+def _star_weights(w):
+    star = recover(_star_fan(w))
+    return [star.weight("n1", leaf) for leaf in star.leaves]
+
+
+def test_recover_star_golden():
+    assert _star_weights((15, 10, 6)) == [2, 3, 5]
+
+
+def test_recover_star_permutation_equivariant():
+    assert _star_weights((6, 10, 15)) == [5, 3, 2]
+
+
+def test_recover_star_all_ones():
+    assert _star_weights((1, 1, 1)) == [1, 1, 1]
+
+
+def test_recover_star_rejects_bad_input():
+    with pytest.raises(NotRealizable):
+        recover(_star_fan((2, 4, 6)))  # not overall coprime
+    with pytest.raises(NotRealizable):
+        recover(_star_fan((3, 5)))
+
+
 UNIT_RAYS = "unit rays do not give every coordinate exactly once"
 NOT_NON_NEGATIVE = "ray 'u' is not a nonzero non-negative vector"
 
@@ -139,11 +149,11 @@ NOT_NON_NEGATIVE = "ray 'u' is not a nonzero non-negative vector"
                  "the fan has no node ray", id="no-node-ray"),
     pytest.param(_d1(u=(0, 3, 1, 1, 1), v=(1, 1, 2, 3, 5)),
                  "node ray 'u' is not strictly positive", id="zero-entry-at-node"),
-    # node v carries no leaf, and pruning u leaves it the one coordinate (1)
+    # node v carries no leaf and lies on the one cone [u, v]
     pytest.param(_fan({"l1": (1, 0, 0), "l2": (0, 1, 0), "l3": (0, 0, 1),
                        "u": (1, 1, 1), "v": (1, 1, 1)},
                       (("u", "l1"), ("u", "l2"), ("u", "l3"), ("u", "v"))),
-                 "need at least three strictly positive entries", id="leafless-node"),
+                 "node ray 'v' lies on fewer than three cones", id="leafless-node"),
 ])
 def test_recover_refuses_each_malformed_fan(fan, message):
     with pytest.raises(NotRealizable) as info:
@@ -161,39 +171,45 @@ def test_roundtrip_random_pool(pool_coprime):
         assert roundtrip(d)
 
 
-def test_prune_solve_identity(pool_coprime):
-    """A w' = w for the prune matrix A and every surviving node ray."""
-    for d in pool_coprime[:10]:
-        if len(d.nodes) < 2:
-            continue
-        internal = d.internal_edges()
-        u, v = internal[0]
-        # require an end-node with its leaf block
-        if sum(1 for x in d.neighbors(u) if d.is_node(x)) != 1:
-            u, v = v, u
-        if sum(1 for x in d.neighbors(u) if d.is_node(x)) != 1:
-            continue
-        u_leaves = [x for x in d.neighbors(u) if d.is_leaf(x)]
-        d_uv = d.weight(u, v)
-        positions = {l: i for i, l in enumerate(d.leaves)}
-        for node in d.nodes:
-            if node == u:
-                continue
-            w = d.node_weight_vector(node)
-            col = {
-                positions[l]: d.linking_number(u, l) // d_uv for l in u_leaves
-            }
-            t_values = {w[p] / c for p, c in col.items() if c}
-            assert len(t_values) == 1  # consistent preimage across the block
-        # gcd identity: the far node's weight toward u is the gcd of its
-        # linking numbers to the surviving leaves
-        from math import gcd
+def _coprime_documents():
+    """The coprime recorded diagrams, the 40-leaf document and (64, 20, 0)."""
+    recorded = json.loads((DATA / "random_diagrams.json").read_text())
+    diagrams = [diagram_from_doc(e["diagram"]) for e in recorded if e["coprime"]]
+    diagrams.append(diagram_from_doc(json.loads((DATA / "random_40_14_seed0.json").read_text())))
+    diagrams.append(random_diagram(64, 20, 0))
+    return diagrams
 
-        g = 0
-        for l in d.leaves:
-            if l not in u_leaves:
-                g = gcd(g, d.linking_number(v, l))
-        assert g == d.weight(v, u)
+
+def test_each_weight_is_the_gcd_of_its_node_ray_off_the_far_side():
+    """d(v, u) = gcd of v's linking numbers to the leaves not beyond u: the
+    rule ``recover`` reads every weight by."""
+    for d in _coprime_documents():
+        for v in d.nodes:
+            w = d.node_weight_vector(v)
+            for u in d.neighbors(v):
+                beyond = set(d.leaves_beyond(v, u))
+                near = [x for leaf, x in zip(d.leaves, w) if leaf not in beyond]
+                assert gcd_list(near) == d.weight(v, u), (d, v, u)
+
+
+def test_conditions_are_not_checked_on_a_fan_the_diagram_does_not_reproduce(
+    d1_fan, monkeypatch
+):
+    calls = []
+    check_conditions = recover_module.check_conditions
+
+    def counting(diagram):
+        calls.append(diagram)
+        return check_conditions(diagram)
+
+    monkeypatch.setattr(recover_module, "check_conditions", counting)
+    recover(d1_fan)
+    assert len(calls) == 1
+    rays = [Ray(r.label, (r.vector[0] * 2 + 1, *r.vector[1:])) if r.label == "v" else r
+            for r in d1_fan.rays]
+    with pytest.raises(VerificationFailed, match="does not reproduce ray"):
+        recover(SpliceFan(rays, d1_fan.cones))
+    assert len(calls) == 1
 
 
 def test_distinct_diagrams_have_distinct_fans(pool_coprime):
@@ -205,7 +221,7 @@ def test_distinct_diagrams_have_distinct_fans(pool_coprime):
             tuple(sorted((tuple(sorted(c.rays)), c.multiplicity) for c in fan.cones)),
         )
         if key in seen:
-            assert diagrams_isomorphic(seen[key], d)
+            assert diagram_to_doc(seen[key]) == diagram_to_doc(d)
         else:
             seen[key] = d
 
