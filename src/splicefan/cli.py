@@ -3,9 +3,10 @@
 Every command reads JSON documents, runs one library operation and prints a
 CommandReport: {"command", "status", "payload"}.  Output bytes are a pure
 function of the inputs and flags.  Exit codes: 0 ok, 1 semantic refusal or
-violated condition, 2 unreadable input, 3 infeasible request.  A diagram
-too deep for the recursion limit is refused with exit 1 and a report; only
-the semigroup search still recurses, once per node along a path.
+violated condition, 2 unreadable input, 3 infeasible request.  Only the
+semigroup search's split still recurses, about two frames per node along a
+path, so a diagram whose search runs deeper than the recursion limit is
+refused with exit 1 and a report.
 """
 
 from __future__ import annotations

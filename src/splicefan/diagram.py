@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from functools import cache
+from itertools import accumulate
 from math import gcd
 
 from .errors import GenerationExhausted
@@ -170,10 +172,10 @@ class SpliceDiagram:
         """Product of v's half-edge weights (1 at a leaf, which carries none)."""
         return 1 if v in self._leaf_index else self._total[v]
 
-    def weights_off(self, x, a, b=None) -> int:
-        """Product of x's weights toward its neighbours other than a and b
-        (1 at a leaf)."""
-        return _weights_off(self._adj, self._weights, x, a, b)
+    def weights_off(self, x, a) -> int:
+        """Product of x's weights toward its neighbours other than a (1 at a
+        leaf)."""
+        return _weights_off(self._adj, self._weights, x, a)
 
     def _require_tree(self):
         if not self.is_tree:
@@ -297,12 +299,12 @@ class SpliceDiagram:
         return f"SpliceDiagram(leaves={list(self.leaves)}, nodes={list(self.nodes)})"
 
 
-def _weights_off(adjacent, weights, x, a=None, b=None):
-    """Product of x's half-edge weights toward its neighbours other than a
-    and b; 1 at a leaf, which carries no weight."""
+def _weights_off(adjacent, weights, x, a):
+    """Product of x's half-edge weights toward its neighbours other than a;
+    1 at a leaf, which carries no weight."""
     out = 1
     for y in adjacent[x]:
-        if y != a and y != b:
+        if y != a:
             out *= weights[(x, y)]
     return out
 
@@ -414,17 +416,15 @@ def semigroup_decompose(diagram: SpliceDiagram, v, e):
     if u not in diagram.neighbors(v):
         raise ValueError(f"{e!r} is not an edge at {v!r}")
     r = diagram.weight(v, u)
-    support = diagram.leaves_beyond(v, u)
-    side = diagram.side_row(v, u)
-    gens = [side[leaf][1] for leaf in support]
-    rest_gcd = [0] * (len(gens) + 1)
-    for i in range(len(gens) - 1, -1, -1):
-        rest_gcd[i] = gcd(gens[i], rest_gcd[i + 1])
-    semigroups = _Semigroups(diagram)
-    if not semigroups.member(v, u, 0, r):
+    semigroups = _Semigroups(diagram, v, u)
+    if not semigroups.member(0, r):
         return None
+    # the leaves beyond u in leaf order and the gcds of their later generators
+    indices, rest_gcd = semigroups.below(v, u)
     coeffs = {}
-    for p, (leaf, a) in enumerate(zip(support, gens)):
+    for p, k in enumerate(indices):
+        leaf = diagram.leaves[k]
+        a = semigroups.side[leaf][1]
         gs = rest_gcd[p + 1]
         if gs:
             # x*a == r (mod gs, the later leaves' gcd): walk that progression
@@ -434,15 +434,19 @@ def semigroup_decompose(diagram: SpliceDiagram, v, e):
             start = (r // g) * pow(a // g, -1, m) % m
         else:
             start, m = r // a, 1  # the last leaf takes what is left
-        after = diagram.leaf_index(leaf) + 1
         x = next((x for x in range(start, r // a + 1, m)
-                  if semigroups.member(v, u, after, r - x * a)), None)
+                  if semigroups.member(k + 1, r - x * a)), None)
         if x is None:
             raise AssertionError(f"membership test is inconsistent at {leaf!r}")
         if x:
             coeffs[leaf] = x
             r -= x * a
     return AdmissibleCoweight(node=v, edge=(v, u), coeffs=coeffs)
+
+
+def _suffix_gcds(values):
+    """[gcd(values[j:]) for j in 0..len(values)], 0 for the empty tail."""
+    return list(accumulate(reversed(values), gcd, initial=0))[::-1]
 
 
 def admissible_edge(diagram: SpliceDiagram, v, exponent):
@@ -464,88 +468,90 @@ def admissible_edge(diagram: SpliceDiagram, v, exponent):
 
 
 class _Semigroups:
-    """Membership in the semigroups S(x, y, i) spanned by l'(x, l) over the
-    leaves l beyond the edge [x, y] with leaf index at least i.
+    """Membership in the semigroups S(i) spanned by l'(v, l) over the leaves
+    l beyond one directed edge [v, u] with leaf index at least i.
 
-    At a leaf y that semigroup is N (or 0 when y's index is below i).  At a
-    node y, l'(x, l) = A_b * l'(y, l) for l beyond y's branch b, where A_b is
-    the product of y's weights off x and b, so S(x, y, i) is the sum over the
-    branches b != x of A_b * S(y, b, i).  A target is split one branch at a
-    time, each share running over the congruence progression that the later
-    branches' gcd allows.
+    The generators are read from the side row of [v, u].  Seen from v, the
+    leaves below a vertex y beyond u split over y's children b (v itself has
+    the one child u), so S(i) restricted to y's subtree is the sum of the
+    parts S(b, i) of its children.  A target is split one part at a time,
+    largest gcd first, each share running over the congruence progression
+    that the later parts' gcd allows.  A leaf child's part is N * l'(v, b),
+    which holds every share offered to it, so the search never enters a
+    leaf; a node child's share is split again at that node.
 
     The memos live on the instance and no method is stored on it, so they go
     by reference count when the instance does.
     """
 
-    def __init__(self, diagram):
-        self.diagram = diagram
-        self._parts = {}
-        self._seen = {}
+    def __init__(self, diagram, v, u):
+        self.diagram, self.v, self.u, self.side = diagram, v, u, diagram.side_row(v, u)
+        self._below, self._parts, self._seen = {}, {}, {}
 
-    def member(self, x, y, i, t):
-        """Whether t lies in S(x, y, i)."""
-        return t >= 0 and self._split(x, y, i, 0, t)
+    def member(self, i, t):
+        """Whether t lies in S(i)."""
+        return t >= 0 and self._split(self.v, i, 0, t)
 
-    def _branches(self, x, y, i):
-        """(parts, gcds) of S(x, y, i).
-
-        parts are (A_b * G_b, G_b, b), largest first, over the branches b
-        of y with a leaf from i on, where G_b is the gcd of S(y, b, i);
-        gcds[j] is the gcd of the generators of parts[j:], 0 when there are
-        none.  A leaf has no parts and gcds (1,) or (0,).
-        """
-        key = (x, y, i)
-        out = self._parts.get(key)
-        if out is not None:
-            return out
-        d = self.diagram
-        if not d.is_node(y):
-            out = (), (1 if d.leaf_index(y) >= i else 0,)
-            self._parts[key] = out
-            return out
-        parts = []
-        for b in d.neighbors(y):
-            if b == x:
-                continue
-            g_b = self._branches(y, b, i)[1][0]
-            if g_b:
-                parts.append((d.weights_off(y, x, b) * g_b, g_b, b))
-        # largest generator first: its share has the fewest candidates
-        parts.sort(reverse=True)
-        gcds = [0] * (len(parts) + 1)
-        for j in range(len(parts) - 1, -1, -1):
-            gcds[j] = gcd(parts[j][0], gcds[j + 1])
-        out = tuple(parts), tuple(gcds)
-        self._parts[key] = out
+    def below(self, y, b):
+        """(indices, gcds) for a child b of y: the leaf indices below b in
+        ascending order and the suffix gcds of their generators, listed once."""
+        out = self._below.get(b)
+        if out is None:
+            d, side = self.diagram, self.side
+            leaves = [b] if d.is_leaf(b) else d.leaves_beyond(y, b)
+            out = self._below[b] = ([d.leaf_index(l) for l in leaves],
+                                    _suffix_gcds([side[l][1] for l in leaves]))
         return out
 
-    def _split(self, x, y, i, j, r):
-        """Whether r >= 0 lies in the sum of parts[j:] of S(x, y, i)."""
+    def _parts_at(self, y, i):
+        """(parts, gcds) of the split at y.  parts are (gcd of S(b, i), b, i_b)
+        over y's children b with a leaf from i on, largest first, where i_b
+        is the first leaf index below b from i on, so S(b, i) = S(b, i_b)
+        and the gcd is one bisection into b's listed leaves; gcds[j] is the
+        gcd of parts[j:], 0 when there are none."""
+        out = self._parts.get((y, i))
+        if out is None:
+            d = self.diagram
+            if y == self.v:
+                children = (self.u,)
+            else:
+                back = d.first_step(y, self.v)
+                children = [b for b in d.neighbors(y) if b != back]
+            parts = []
+            for b in children:
+                indices, gcds = self.below(y, b)
+                k = bisect_left(indices, i)
+                if k < len(indices):
+                    parts.append((gcds[k], b, indices[k]))
+            # largest generator first: its share has the fewest candidates
+            parts.sort(reverse=True)
+            out = self._parts[y, i] = parts, _suffix_gcds([g for g, _, _ in parts])
+        return out
+
+    def _split(self, y, i, j, r):
+        """Whether r >= 0 lies in the sum of parts[j:] at y."""
         if r == 0:
             return True
-        parts, gcds = self._branches(x, y, i)
+        parts, gcds = self._parts_at(y, i)
         g = gcds[j]
         if g == 0 or r % g:
             return False
-        if not parts:
-            return True
-        key = (x, y, i, j, r)
-        out = self._seen.get(key)
+        out = self._seen.get((y, i, j, r))
         if out is not None:
             return out
-        a, g_b, b = parts[j]
+        a, b, i_b = parts[j]
+        leaf = self.diagram.is_leaf(b)
         if j == len(parts) - 1:
-            out = self._split(y, b, i, 0, r // a * g_b)
+            out = leaf or self._split(b, i_b, 0, r)
         else:
             # a*t == r (mod gcds[j + 1]); walk that progression
             m = gcds[j + 1] // g
             start = (r // g) * pow(a // g, -1, m) % m
             out = any(
-                self._split(y, b, i, 0, t * g_b) and self._split(x, y, i, j + 1, r - t * a)
+                (leaf or self._split(b, i_b, 0, t * a)) and self._split(y, i, j + 1, r - t * a)
                 for t in range(start, r // a + 1, m)
             )
-        self._seen[key] = out
+        self._seen[y, i, j, r] = out
         return out
 
 

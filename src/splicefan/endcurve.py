@@ -33,9 +33,6 @@ class RootedDiagram(Record):
     root: str
     others: tuple  # non-root leaves, in declared leaf order
 
-    def link(self, leaf) -> int:
-        return self.diagram.linking_number(self.root, leaf)
-
     def links(self) -> tuple:
         row = self.diagram.linking_row(self.root)
         return tuple(row[leaf][0] for leaf in self.others)

@@ -89,45 +89,43 @@ def _exact_div(num, den, what):
     return q
 
 
+def side_gcds(diagram: SpliceDiagram, v, vector) -> dict:
+    """{u: gcd of vector over the leaves not beyond u} for each neighbour u
+    of v: every leaf but u at a leaf, v's side of the edge at a node."""
+    out = {}
+    for u in diagram.neighbors(v):
+        beyond = set(diagram.leaves_beyond(v, u))
+        out[u] = gcd_list(x for leaf, x in zip(diagram.leaves, vector) if leaf not in beyond)
+    return out
+
+
 def splice_fan(diagram: SpliceDiagram) -> SpliceFan:
     """Rays for all vertices, one weighted cone per edge of the diagram.
 
-    The multiplicity of a leaf cone [l, u] is gcd(link(u, m) : m != l) over
-    the weight at u toward l; for an internal cone [u, v] it is the product
-    of the two side gcds over the product of the two edge weights.  Both
-    divisions are checked exact.  Each node's row of linking numbers is
-    walked once, and only its gcds toward each neighbour are kept from it.
+    With gcds[x][y] the gcd of x's linking numbers to the leaves on x's
+    side of [x, y] (:func:`side_gcds`), a cone's multiplicity is the product
+    of gcds[x][y] over its node endpoints x, divided by the product of their
+    weights d(x, y); the division is checked exact.  Each node's row of
+    linking numbers is walked once, and only its side gcds are kept.
     """
     rays = [
         Ray(label=leaf, vector=tuple(int(i == k) for i in range(diagram.n)))
         for k, leaf in enumerate(diagram.leaves)
     ]
-    # gcds[(v, u)]: gcd of link(v, m) over the leaves m on v's side of [v, u]
-    # at an internal edge, over every leaf but u at a leaf edge
     gcds = {}
     for v in diagram.nodes:
         w = diagram.node_weight_vector(v)
         rays.append(Ray(label=v, vector=primitive(w)))
-        for u in diagram.neighbors(v):
-            if diagram.is_leaf(u):
-                gcds[(v, u)] = gcd_list(x for m, x in zip(diagram.leaves, w) if m != u)
-            else:
-                side = set(diagram.leaves_beyond(u, v))
-                gcds[(v, u)] = gcd_list(x for m, x in zip(diagram.leaves, w) if m in side)
+        gcds[v] = side_gcds(diagram, v, w)
     cones = []
-    for a, b in diagram.edges():
-        if diagram.is_leaf(a) or diagram.is_leaf(b):
-            leaf, node = (a, b) if diagram.is_leaf(a) else (b, a)
-            g = gcds[(node, leaf)]
-            mult = _exact_div(g, diagram.weight(node, leaf), f"cone [{leaf},{node}]")
-        else:
-            g = gcds[(a, b)] * gcds[(b, a)]
-            mult = _exact_div(
-                g,
-                diagram.weight(a, b) * diagram.weight(b, a),
-                f"cone [{a},{b}]",
-            )
-        cones.append(Cone2(rays=(a, b), multiplicity=mult))
+    for edge in diagram.edges():
+        a, b = sorted(edge, key=diagram.is_node)  # a leaf endpoint first
+        num = den = 1
+        for x, y in ((a, b), (b, a)):
+            if diagram.is_node(x):
+                num *= gcds[x][y]
+                den *= diagram.weight(x, y)
+        cones.append(Cone2(rays=edge, multiplicity=_exact_div(num, den, f"cone [{a},{b}]")))
     return SpliceFan(rays, cones)
 
 

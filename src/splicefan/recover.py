@@ -14,7 +14,7 @@ from __future__ import annotations
 from .diagram import SpliceDiagram, check_conditions, validate
 from .errors import NonCoprimeFan, NotRealizable, VerificationFailed
 from .exact import gcd_list
-from .fan import SpliceFan, splice_fan
+from .fan import SpliceFan, side_gcds, splice_fan
 
 
 def _check_fan_input(fan: SpliceFan) -> SpliceDiagram:
@@ -65,23 +65,16 @@ def _check_fan_input(fan: SpliceFan) -> SpliceDiagram:
     return tree
 
 
-def recover(fan: SpliceFan) -> SpliceDiagram:
-    """Reconstruct the unique coprime diagram whose splice fan is the input.
+def _rebuild(fan: SpliceFan) -> SpliceDiagram:
+    """The diagram whose weights are read off the fan, validated and
+    reproducing it ray by ray and cone by cone; its conditions unchecked.
 
     Each weight d(v, u) is the gcd of v's ray at the leaves outside
-    ``leaves_beyond(v, u)`` of the cone tree.  The diagram is validated, its
-    fan rebuilt and compared ray by ray and cone by cone, and only a
-    diagram that reproduces the fan has its conditions checked.
+    ``leaves_beyond(v, u)`` of the cone tree (:func:`side_gcds`).
     """
     tree = _check_fan_input(fan)
-    weights = {}
-    for v in tree.nodes:
-        vector = fan.ray_by_label[v].vector
-        for u in tree.neighbors(v):
-            beyond = set(tree.leaves_beyond(v, u))
-            weights[(v, u)] = gcd_list(
-                x for leaf, x in zip(tree.leaves, vector) if leaf not in beyond
-            )
+    weights = {(v, u): g for v in tree.nodes
+               for u, g in side_gcds(tree, v, fan.ray_by_label[v].vector).items()}
     diagram = SpliceDiagram(tree.leaves, tree.nodes, [
         (a, b, weights.get((a, b)), weights.get((b, a)))
         for a, b in (cone.rays for cone in fan.cones)
@@ -96,17 +89,34 @@ def recover(fan: SpliceFan) -> SpliceDiagram:
     for cone in fan.cones:
         if multiplicities[frozenset(cone.rays)] != cone.multiplicity:
             raise VerificationFailed(f"recovered diagram does not reproduce cone {cone.rays}")
-    report = check_conditions(diagram)
-    if not (report.edge_determinant and report.semigroup and report.coprime):
+    return diagram
+
+
+def _require_conditions(diagram):
+    if not check_conditions(diagram).all():
         raise VerificationFailed("recovered diagram fails the diagram conditions")
+
+
+def recover(fan: SpliceFan) -> SpliceDiagram:
+    """Reconstruct the unique coprime diagram whose splice fan is the input.
+
+    The diagram is rebuilt from the fan's gcds and must reproduce the fan;
+    only then are its conditions checked.
+    """
+    diagram = _rebuild(fan)
+    _require_conditions(diagram)
     return diagram
 
 
 def roundtrip(diagram: SpliceDiagram) -> bool:
     """recover(splice_fan(diagram)) must give back the diagram, label by
-    label: its leaves, nodes, edges and every half-edge weight."""
-    back = recover(splice_fan(diagram))
-    return (
+    label: its leaves, nodes, edges and every half-edge weight.
+
+    The conditions are checked once: on the diagram itself when the two
+    match (its kept report), else on the rebuilt one, as ``recover`` would.
+    """
+    back = _rebuild(splice_fan(diagram))
+    same = (
         back.leaves == diagram.leaves
         and back.nodes == diagram.nodes
         and back.edges() == diagram.edges()
@@ -116,3 +126,5 @@ def roundtrip(diagram: SpliceDiagram) -> bool:
             for u in diagram.neighbors(v)
         )
     )
+    _require_conditions(diagram if same else back)
+    return same

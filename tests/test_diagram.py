@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chain_probe import chain_doc, probe
+from chain_probe import CHAIN_REPORT, chain_doc, probe, valid_chain_doc
 from conftest import LADDER, NOT_A_TREE
 from splicefan import (
     GenerationExhausted,
@@ -533,19 +533,42 @@ def test_the_linking_layer_on_deep_chains_is_iterative_and_linear(length, rows, 
     assert peak < bound_mb * 2**20, peak
 
 
-def test_check_conditions_on_a_deep_chain_recurses_only_in_the_semigroup_search():
-    """The 1,200-node chain still exceeds the recursion limit, but only in
-    _Semigroups: every linking number the search reads comes from a walk."""
+def test_check_conditions_reports_on_a_deep_chain():
+    """The 1,200-node chain gets its condition report under a recursion
+    limit only 100 frames above the caller's: the semigroup search stops at
+    its first failing edge and walks no deeper."""
     d = diagram_from_doc(chain_doc(1200))
-    with pytest.raises(RecursionError) as info:
-        check_conditions(d)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        report = check_conditions(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (report.edge_determinant, report.semigroup, report.coprime) == CHAIN_REPORT
+
+
+def test_check_conditions_on_a_deep_chain_recurses_only_in_the_semigroup_search():
+    """A 600-node chain whose semigroup condition holds still exceeds a
+    recursion limit 1,000 frames above the caller's, but only in
+    _Semigroups._split: every linking number the search reads comes from a
+    walk, and every gcd from a listed side."""
+    d = diagram_from_doc(valid_chain_doc(600))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 1000)
+    try:
+        with pytest.raises(RecursionError) as info:
+            check_conditions(d)
+    finally:
+        sys.setrecursionlimit(limit)
     names, tb = [], info.tb
     while tb is not None:
         names.append(tb.tb_frame.f_code.co_qualname)
         tb = tb.tb_next
-    search = [i for i, name in enumerate(names) if name.startswith("_Semigroups.")]
-    # the limit is hit in the search's recursion or in a diagram accessor
-    # that its deepest frame calls (is_node, weights_off, ...)
-    assert len(search) > 500 and len(names) - 1 - search[-1] <= 2, names[-5:]
+    split = [i for i, name in enumerate(names) if name.startswith("_Semigroups._split")]
+    # one unbroken run of the split's frames, and the limit hit in it or in
+    # what its deepest frame calls to list a node's parts (_parts_at, below,
+    # leaves_beyond, _beyond_interval)
+    assert len(split) > 500 and split[-1] - split[0] == len(split) - 1, names[-8:]
+    assert len(names) - 1 - split[-1] <= 4, names[-8:]
     linking = ("SpliceDiagram.linking_row", "SpliceDiagram.side_row", "walk_beyond")
     assert not any(name in linking for name in names)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chain_probe import chain_doc
+from chain_probe import CHAIN_REPORT, chain_doc, valid_chain_doc
 from conftest import NOT_A_TREE, system_for, worked_coefficients
 from splicefan import (
     ConditionViolation,
@@ -397,17 +397,45 @@ def chain_path(tmp_path_factory):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["check", "fan", "roundtrip"])
-def test_cli_refuses_a_diagram_deeper_than_the_recursion_limit(chain_path, command):
+@pytest.fixture(scope="module")
+def valid_chain_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("docs") / "valid_chain.json"
+    path.write_text(json.dumps(valid_chain_doc(600)))
+    return str(path)
+
+
+def _run_module_cli(command, path):
     proc = subprocess.run(
-        [sys.executable, "-m", "splicefan.cli", command, chain_path],
+        [sys.executable, "-m", "splicefan.cli", command, path],
         capture_output=True,
         text=True,
     )
     assert proc.stderr == ""
-    assert proc.returncode == 1
     report = json.loads(proc.stdout)
-    assert report["command"] == command and report["status"] == "error"
+    assert report["command"] == command
+    return proc.returncode, report
+
+
+@pytest.mark.parametrize("command", ["check", "fan", "roundtrip"])
+def test_cli_answers_a_deep_chain_with_its_conditions(chain_path, command):
+    """The 1,200-node chain fails its edge determinants and its semigroup
+    condition: check reports the three flags, fan and roundtrip refuse it
+    as infeasible."""
+    code, report = _run_module_cli(command, chain_path)
+    if command == "check":
+        assert (code, report["status"]) == (1, "violation")
+        assert report["payload"] == dict(zip(("edge_determinant", "semigroup", "coprime"),
+                                             CHAIN_REPORT))
+    else:
+        assert (code, report["status"]) == (3, "infeasible")
+
+
+@pytest.mark.parametrize("command", ["check", "fan", "roundtrip"])
+def test_cli_refuses_a_diagram_deeper_than_the_recursion_limit(valid_chain_path, command):
+    """The semigroup search on a 600-node chain whose condition holds passes
+    the recursion limit; the CLI refuses it with a report."""
+    code, report = _run_module_cli(command, valid_chain_path)
+    assert (code, report["status"]) == (1, "error")
     assert report["payload"]["error"] == "RecursionError"
 
 

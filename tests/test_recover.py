@@ -23,11 +23,13 @@ from splicefan import (
     SpliceDiagram,
     SpliceFan,
     VerificationFailed,
+    check_conditions,
     random_diagram,
     recover,
     roundtrip,
     splice_fan,
 )
+from splicefan import diagram as diagram_module
 from splicefan.documents import diagram_from_doc, diagram_to_doc
 from splicefan.exact import gcd_list
 
@@ -210,6 +212,24 @@ def test_conditions_are_not_checked_on_a_fan_the_diagram_does_not_reproduce(
     with pytest.raises(VerificationFailed, match="does not reproduce ray"):
         recover(SpliceFan(rays, d1_fan.cones))
     assert len(calls) == 1
+
+
+def test_roundtrip_reads_the_kept_report_and_searches_nothing(monkeypatch):
+    """After check_conditions(d), roundtrip(d) rebuilds d label by label and
+    reads d's kept report: no condition report is computed again."""
+    diagrams = [random_diagram(12, 4, 1), random_diagram(9, 3, 0)]
+    for d in diagrams:
+        check_conditions(d)
+    calls = []
+    report = diagram_module._condition_report
+
+    def counting(diagram):
+        calls.append(diagram)
+        return report(diagram)
+
+    monkeypatch.setattr(diagram_module, "_condition_report", counting)
+    assert all(roundtrip(d) for d in diagrams)
+    assert calls == []
 
 
 def test_distinct_diagrams_have_distinct_fans(pool_coprime):
