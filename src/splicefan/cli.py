@@ -37,6 +37,10 @@ EXIT_REFUSED = 1
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 
+# the most queries `member --samples` draws; a larger count is refused with
+# exit 2 before any query is drawn
+MAX_SAMPLES = 10_000
+
 
 class _Refusal(Exception):
     def __init__(self, status, payload, code):
@@ -97,16 +101,17 @@ def _default_system(diagram, seed=None):
     return build_system(diagram, coeffs=coeffs)
 
 
-def _parse_weight_vector(text, n):
+def _parse_weight_vector(text, n, where=""):
+    """The vector of ``text``; ``where`` (" on line k") ends each refusal."""
     parts = text.split(",")
     if len(parts) != n:
         raise _Refusal(
-            "error", {"message": f"expected {n} comma-separated rationals"}, EXIT_PARSE
+            "error", {"message": f"expected {n} comma-separated rationals{where}"}, EXIT_PARSE
         )
     try:
         return tuple(Fraction(p.strip()) for p in parts)
     except (ValueError, ZeroDivisionError):
-        raise _Refusal("error", {"message": f"bad weight vector {text!r}"}, EXIT_PARSE)
+        raise _Refusal("error", {"message": f"bad weight vector {text!r}{where}"}, EXIT_PARSE)
 
 
 def _positive(w, what):
@@ -180,6 +185,10 @@ def _sample_queries(diagram, fan, count, seed):
 def _cmd_member(args):
     if args.samples is not None and args.samples < 0:
         raise _Refusal("error", {"message": "--samples must not be negative"}, EXIT_PARSE)
+    if args.samples is not None and args.samples > MAX_SAMPLES:
+        raise _Refusal(
+            "error", {"message": f"--samples must be at most {MAX_SAMPLES}"}, EXIT_PARSE
+        )
     if args.w is not None and args.w_file is not None:
         raise _Refusal(
             "error", {"message": "--w and --w-file cannot be given together"}, EXIT_PARSE
@@ -202,7 +211,9 @@ def _cmd_member(args):
                 lines = [(k, line.strip()) for k, line in enumerate(handle, 1) if line.strip()]
         except OSError as exc:
             raise _Refusal("error", {"message": str(exc)}, EXIT_PARSE)
-        vectors = [_parse_weight_vector(line, diagram.n) for _, line in lines]
+        vectors = [
+            _parse_weight_vector(line, diagram.n, f" on line {k}") for k, line in lines
+        ]
         for (k, _), w in zip(lines, vectors):
             _positive(w, f"weight vector on line {k}")
     else:
@@ -305,7 +316,8 @@ def _build_parser():
     p.add_argument("--w", default=None, help="comma-separated rationals")
     p.add_argument("--w-file", default=None, help="file with one vector per line")
     p.add_argument("--samples", type=int, default=None,
-                   help="sampled queries when no vector is given (default 10)")
+                   help="sampled queries when no vector is given "
+                        f"(default 10, at most {MAX_SAMPLES})")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(run=_cmd_member)
 

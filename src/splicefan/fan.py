@@ -268,8 +268,8 @@ def certificate_search(system: SpliceSystem, w, truncation: TruncationContext | 
         surviving = [j for j in range(count) if j not in killed]
         if not surviving:
             continue
-        values = {j: dot(w, block.exponents[j]) for j in surviving}
-        low = min(values.values())
+        values = [dot(w, m) for m in block.exponents]
+        low = min(values[j] for j in surviving)
         win = next(j for j in surviving if values[j] == low)
         above = [j for j in surviving if values[j] > low]
         slots = killed[:2] + above[: max(0, 2 - len(killed))]
@@ -282,7 +282,7 @@ def certificate_search(system: SpliceSystem, w, truncation: TruncationContext | 
             node=v,
             edge=(v, block.star[win]),
             monomial=block.exponents[win],
-            values={block.star[j]: dot(w, block.exponents[j]) for j in range(count)},
+            values=dict(zip(block.star, values)),
             coefficients=y,
             truncated=tuple(block.star[j] for j in killed),
         )

@@ -40,7 +40,10 @@ class Polynomial:
     with no zero coefficients and no duplicate exponents, so equal
     polynomials compare and hash equal.  An exponent that is already a
     tuple of ints, as every term of another polynomial is, is kept as it
-    is; any other is rebuilt as one.
+    is; any other is rebuilt as one.  Only a merge of terms (the
+    constructor, ``+`` and ``*``) sorts; an operation that keeps or drops
+    terms of one polynomial, or scales them by a nonzero factor, leaves
+    them in order and wraps them with :meth:`_ordered`.
     """
 
     __slots__ = ("terms",)
@@ -60,6 +63,13 @@ class Polynomial:
             else:
                 acc.pop(exponent, None)
         self.terms = tuple(sorted(acc.items(), key=_term_order))
+
+    @classmethod
+    def _ordered(cls, terms):
+        """A polynomial of terms that are already normalised and in order."""
+        out = cls.__new__(cls)
+        out.terms = tuple(terms)
+        return out
 
     @classmethod
     def zero(cls):
@@ -82,7 +92,7 @@ class Polynomial:
         return Polynomial(list(self.terms) + list(other.terms))
 
     def __neg__(self):
-        return Polynomial([(m, -c) for m, c in self.terms])
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -100,15 +110,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def drop(self, exponent) -> "Polynomial":
-        """This polynomial without its term at ``exponent``.  The remaining
-        terms are already normalised and in order, so they are kept as is."""
-        out = Polynomial.__new__(Polynomial)
-        out.terms = tuple(t for t in self.terms if t[0] != exponent)
-        return out
+        """This polynomial without its term at ``exponent``."""
+        return Polynomial._ordered(t for t in self.terms if t[0] != exponent)
 
     def scale(self, scalar):
         scalar = Fraction(scalar)
-        return Polynomial([(m, c * scalar) for m, c in self.terms])
+        if not scalar:
+            return Polynomial.zero()
+        return Polynomial._ordered((m, c * scalar) for m, c in self.terms)
 
     def support(self):
         return [m for m, _ in self.terms]
@@ -128,13 +137,13 @@ class Polynomial:
             return Polynomial.zero()
         weights = [dot(w, m) for m, _ in self.terms]
         lo = min(weights)
-        return Polynomial([t for t, wt in zip(self.terms, weights) if wt == lo])
+        return Polynomial._ordered(t for t, wt in zip(self.terms, weights) if wt == lo)
 
     def truncate(self, kill_indices) -> "Polynomial":
         """Drop every term with a positive exponent at some killed coordinate."""
         kill = set(kill_indices)
-        return Polynomial(
-            [(m, c) for m, c in self.terms if all(m[i] == 0 for i in kill)]
+        return Polynomial._ordered(
+            t for t in self.terms if all(t[0][i] == 0 for i in kill)
         )
 
     def evaluate(self, point):
@@ -309,7 +318,7 @@ class Equation(Record):
 
     @property
     def full(self) -> Polynomial:
-        return self.minimal + self.tail
+        return self.minimal + self.tail if self.tail else self.minimal
 
 
 class SpliceSystem:

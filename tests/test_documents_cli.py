@@ -499,6 +499,41 @@ def test_cli_member_w_file_refuses_a_vector_that_is_not_positive(d1_path, tmp_pa
     assert report["payload"] == {"message": "weight vector on line 3 must be strictly positive"}
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1,2", "expected 5 comma-separated rationals on line 3"),
+    ("1,x,1,1,1", "bad weight vector '1,x,1,1,1' on line 3"),
+])
+def test_cli_member_w_file_names_the_line_of_a_malformed_vector(d1_path, tmp_path, entry,
+                                                                message):
+    path = tmp_path / "queries.txt"
+    path.write_text(f"1,1,1,1,1\n\n{entry}\n147,98,60,84,210\n")
+    code, out = run_cli("member", d1_path, "--w-file", str(path))
+    report = json.loads(out)
+    assert code == 2 and report["status"] == "error"
+    assert report["payload"] == {"message": message}
+
+
+def test_cli_member_refuses_samples_above_the_maximum_before_drawing(d1_path, monkeypatch,
+                                                                   capsys):
+    drawn = []
+
+    def draw(diagram, fan, count, seed):
+        drawn.append(count)
+        return []
+
+    monkeypatch.setattr(cli, "_sample_queries", draw)
+    assert cli.main(["member", d1_path, "--samples", str(cli.MAX_SAMPLES)]) == 0
+    assert drawn == [cli.MAX_SAMPLES]
+    capsys.readouterr()
+    for count in (cli.MAX_SAMPLES + 1, 10**23):
+        assert cli.main(["member", d1_path, "--samples", str(count)]) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "" and report["status"] == "error"
+        assert report["payload"] == {"message": f"--samples must be at most {cli.MAX_SAMPLES}"}
+    assert drawn == [cli.MAX_SAMPLES]
+
+
 def test_cli_member_refuses_w_with_w_file(d1_path, tmp_path):
     path = tmp_path / "queries.txt"
     path.write_text("1,1,1,1,1\n")

@@ -1,7 +1,9 @@
 """Fans, embeddings, membership certificates, balancing, smoke checks."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,11 +34,13 @@ from splicefan import (
     smoothness_smoke,
     splice_fan,
 )
-from conftest import LADDER, make_d1
-from splicefan.exact import kernel_basis, rref
+from conftest import LADDER, make_d1, system_for
+from splicefan.documents import diagram_from_doc
+from splicefan.exact import dot, kernel_basis, rref
 from splicefan.fan import OUTSIDE, CellLocation, _random_kernel_vector
 
 F = Fraction
+DATA = Path(__file__).with_name("data")
 
 
 def _solve(rows, rhs):
@@ -357,6 +361,36 @@ def test_membership_golden(d1_system, d1, d1_fan):
     )
     cone = membership(d1_system, mid, d1_fan)
     assert cone.status == "in" and cone.cell.label == ("l1", "u")
+
+
+def test_certificate_values_pair_w_with_every_star_exponent():
+    """On the recorded generator outputs, Vandermonde and seed-12 random
+    coefficients, untruncated and with one leaf killed: each certificate's
+    values are dot(w, exponent) as Fractions, in star order."""
+    recorded = json.loads((DATA / "random_diagrams.json").read_text())
+    rng = random.Random(3)
+    found = truncated = 0
+    for entry in recorded:
+        d = diagram_from_doc(entry["diagram"])
+        fan = splice_fan(d)
+        for seed in (None, 12):
+            system = system_for(d, seed)
+            for w in _draw_queries(rng, d, fan, 4):
+                leaf = rng.choice(d.leaves)
+                trunc = TruncationContext(leaves=frozenset([leaf]))
+                cut = tuple(0 if l == leaf else x for l, x in zip(d.leaves, w))
+                for q, t in ((w, None), (cut, trunc)):
+                    cert = certificate_search(system, q, t)
+                    if cert is None:
+                        continue
+                    found += 1
+                    truncated += t is not None
+                    block = system.blocks[cert.node]
+                    assert list(cert.values) == list(block.star)
+                    expected = [dot(q, m) for m in block.exponents]
+                    assert list(cert.values.values()) == expected
+                    assert all(type(x) is Fraction for x in cert.values.values())
+    assert found and truncated
 
 
 # -- oracle ---------------------------------------------------------------------

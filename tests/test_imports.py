@@ -4,15 +4,19 @@ package's own modules at its top.
 The package's ``__init__`` re-exports names, so it is left out; every other
 module is parsed with ``ast`` and each imported binding must be read
 somewhere in the module.  Only third-party imports may sit inside a
-function, so that ``numpy`` and ``mpmath`` load when first needed.
+function, so that ``numpy`` and ``mpmath`` load when first needed.  The
+benchmark's traced run wraps functions by name, and each name must resolve.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "splicefan"
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
 def unused_imports(source):
@@ -85,3 +89,18 @@ def test_a_function_local_package_import_is_reported():
     assert function_local_package_imports(source) == [
         (5, ".system"), (9, "splicefan.fan"), (10, "splicefan"),
     ]
+
+
+def test_every_traced_name_is_a_callable_of_its_module():
+    """``bench/run.py --trace 1`` wraps splicefan.<module>.<function> for each
+    name in its LAYERS; every one must exist.  The module is imported by
+    name, since a package attribute can shadow it (``splicefan.recover`` is
+    the function)."""
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    bench_run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_run)
+    names = [(mod, fn) for mod, fns in bench_run.LAYERS.items() for fn in fns]
+    assert len(names) >= 20
+    for mod, fn in names:
+        module = importlib.import_module(f"splicefan.{mod}")
+        assert callable(getattr(module, fn, None)), f"splicefan.{mod}.{fn}"

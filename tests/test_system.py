@@ -1,15 +1,17 @@
 """Splice type systems: Hamm checks, assembly, initial forms, tails."""
 
 import functools
+import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from conftest import system_for
+from conftest import make_d1, system_for, worked_coefficients
 from splicefan import (
     CoefficientMatrix,
     ConditionViolation,
@@ -25,6 +27,7 @@ from splicefan import (
     validate_tail,
 )
 from splicefan import system as system_module
+from splicefan.documents import diagram_from_doc, system_from_doc, system_to_doc
 from splicefan.exact import kernel_basis
 
 F = Fraction
@@ -444,3 +447,72 @@ def test_evaluate(d1_system):
     assert Polynomial.monomial((2, 0, 0, 0, 0)).evaluate((3, 1, 1, 1, 1)) == 9
     value = fu1.evaluate((1 + 1j, 1.0, 1.0, 2.0, 0.5))
     assert abs(value - ((1 + 1j) ** 2 - 2 + 1)) < 1e-12
+
+
+# -- operations that keep terms in order ---------------------------------------
+
+DATA = Path(__file__).with_name("data")
+
+
+def _tailed(system, rng):
+    """The system's document read back with a two-term tail on every
+    equation: the node's first admissible exponent plus one or two at a
+    random leaf, which weighs more than the node's bound."""
+    doc = system_to_doc(system)
+    n = system.diagram.n
+    for entry in doc["equations"]:
+        base = system.blocks[entry["node"]].exponents[0]
+        entry["tail"] = [
+            {"c": f"{rng.randint(1, 9)}/{rng.randint(1, 9)}",
+             "m": [e + bump * (i == k) for i, e in enumerate(base)]}
+            for bump, k in ((1, rng.randrange(n)), (2, rng.randrange(n)))
+        ]
+    return system_from_doc(doc)
+
+
+def _ordered_rule_systems():
+    """The recorded generator outputs with Vandermonde and seed-12 random
+    coefficients, the tailed worked example read from its document, and
+    the Vandermonde systems of every third recorded diagram with tails."""
+    rng = random.Random(5)
+    diagrams = [
+        diagram_from_doc(e["diagram"])
+        for e in json.loads((DATA / "random_diagrams.json").read_text())
+    ]
+    systems = [system_for(d, seed) for d in diagrams for seed in (None, 12)]
+    worked = build_system(
+        make_d1(),
+        coeffs=worked_coefficients(),
+        tails={("u", 1): Polynomial.monomial((1, 0, 1, 0, 1), F(1, 3))},
+    )
+    systems.append(system_from_doc(system_to_doc(worked)))
+    systems += [_tailed(s, rng) for s in systems[:-1:6]]
+    return systems
+
+
+def test_operations_on_ordered_terms_match_a_rebuild():
+    """drop, truncate, initial_form, scale and Equation.full return the
+    same .terms, in the same order, as Polynomial(...) of the same terms."""
+    rng = random.Random(7)
+    tailed = 0
+    for system in _ordered_rule_systems():
+        n = system.diagram.n
+        for eq in system.equations:
+            tailed += bool(eq.tail)
+            full = eq.full
+            assert full.terms == Polynomial(list(eq.minimal.terms) + list(eq.tail.terms)).terms
+            assert full.terms == Polynomial(reversed(full.terms)).terms
+            for m, _ in full.terms:
+                assert full.drop(m).terms == Polynomial([t for t in full.terms if t[0] != m]).terms
+            for kill in ([rng.randrange(n)], rng.sample(range(n), min(2, n))):
+                kept = [t for t in full.terms if all(t[0][i] == 0 for i in kill)]
+                assert full.truncate(kill).terms == Polynomial(kept).terms
+            w = tuple(F(rng.randint(1, 40), rng.randint(1, 3)) for _ in range(n))
+            low = full.weight(w)
+            kept = [t for t in full.terms if sum(a * b for a, b in zip(w, t[0])) == low]
+            assert full.initial_form(w).terms == Polynomial(kept).terms
+            for c in (F(-3, 7), 2, F(0)):
+                scaled = Polynomial([(m, c * x) for m, x in full.terms])
+                assert full.scale(c).terms == scaled.terms
+            assert (-full).terms == Polynomial([(m, -x) for m, x in full.terms]).terms
+    assert tailed
