@@ -164,8 +164,10 @@ def _member_query(system, fan, w):
 
 
 def _sample_queries(diagram, fan, count, seed):
+    """Alternately a*r1 + b*r2 on a random cone (a, b in 1..9) and a random
+    vector in 1..40 per coordinate.  Both are strictly positive: every cone
+    of a checked diagram's fan has a node endpoint, whose ray is."""
     rng = random.Random(seed)
-    node_rays = [fan.ray_by_label[v].vector for v in diagram.nodes]
     out = []
     for k in range(count):
         if k % 2 == 0:
@@ -174,8 +176,6 @@ def _sample_queries(diagram, fan, count, seed):
             r2 = fan.ray_by_label[cone.rays[1]].vector
             a, b = rng.randint(1, 9), rng.randint(1, 9)
             w = tuple(a * x + b * y for x, y in zip(r1, r2))
-            if any(x <= 0 for x in w):
-                w = tuple(x + y for x, y in zip(w, node_rays[0]))
         else:
             w = tuple(rng.randint(1, 40) for _ in range(diagram.n))
         out.append(w)

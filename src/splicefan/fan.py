@@ -15,6 +15,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
@@ -34,7 +35,6 @@ from .system import (
     SpliceSystem,
     build_system,
     combination,
-    node_certificate_combination,
 )
 
 RANK_TOL = 1e-9
@@ -77,6 +77,25 @@ class SpliceFan:
 
     def cones_at(self, label):
         return [c for c in self.cones if label in c.rays]
+
+    @cached_property
+    def locate_table(self):
+        """What :func:`locate` reads of the fan, in scan order: per ray
+        (label, vector, index of its first nonzero entry), and per cone of
+        independent rays (label pair, r1, r2, i, j, det) with i r1's first
+        nonzero index, j the first index where r2 leaves r1's line and det
+        the 2x2 minor at (i, j).  Cones of parallel rays, whose points lie
+        on their rays, are left out.  Built on the first locate."""
+        rays = [(r.label, r.vector, _first_nonzero(r.vector)) for r in self.rays]
+        cones = []
+        for cone in self.cones:
+            r1 = self.ray_by_label[cone.rays[0]].vector
+            r2 = self.ray_by_label[cone.rays[1]].vector
+            i = _first_nonzero(r1)
+            j = next((k for k, (a, b) in enumerate(zip(r1, r2)) if r1[i] * b != a * r2[i]), None)
+            if j is not None:
+                cones.append((cone.rays, r1, r2, i, j, r1[i] * r2[j] - r1[j] * r2[i]))
+        return tuple(rays), tuple(cones)
 
     def __repr__(self):
         return f"SpliceFan({len(self.rays)} rays, {len(self.cones)} cones)"
@@ -175,34 +194,28 @@ def locate(fan: SpliceFan, w) -> CellLocation:
 
     w is scaled once to integers, v = L*w with L the lcm of its denominators,
     so the ray test and the cone test (Cramer's rule on the first coordinate
-    pair where the two rays are independent) are integer cross-products.
-    Fractions are built only for the cell found.
+    pair where the two rays are independent) are integer cross-products
+    against the fan's ``locate_table``.  Fractions are built only for the
+    cell found.
     """
     w = [x if isinstance(x, int) else Fraction(x) for x in w]
     if all(x == 0 for x in w) or any(x < 0 for x in w):
         raise ValueError("weight vector must be non-negative and nonzero")
     scale = lcm(*(x.denominator for x in w))
     v = [x.numerator * (scale // x.denominator) for x in w]
-    for ray in fan.rays:
-        if _on_ray(v, ray.vector):
-            k = _first_nonzero(ray.vector)
-            coeffs = (Fraction(v[k], ray.vector[k] * scale),)
-            return CellLocation(kind="on_ray", label=ray.label, coeffs=coeffs)
-    for cone in fan.cones:
-        r1 = fan.ray_by_label[cone.rays[0]].vector
-        r2 = fan.ray_by_label[cone.rays[1]].vector
-        i = _first_nonzero(r1)
-        j = next((k for k, (a, b) in enumerate(zip(r1, r2)) if r1[i] * b != a * r2[i]), None)
-        if j is None:
-            continue
-        det = r1[i] * r2[j] - r1[j] * r2[i]
+    rays, cones = fan.locate_table
+    for label, r, k in rays:
+        if _on_ray(v, r, k):
+            coeffs = (Fraction(v[k], r[k] * scale),)
+            return CellLocation(kind="on_ray", label=label, coeffs=coeffs)
+    for label, r1, r2, i, j, det in cones:
         an = v[i] * r2[j] - v[j] * r2[i]
         bn = r1[i] * v[j] - r1[j] * v[i]
         if an * det > 0 and bn * det > 0 and all(
             an * a + bn * b == det * x for a, b, x in zip(r1, r2, v)
         ):
             coeffs = (Fraction(an, det * scale), Fraction(bn, det * scale))
-            return CellLocation(kind="in_cone", label=cone.rays, coeffs=coeffs)
+            return CellLocation(kind="in_cone", label=label, coeffs=coeffs)
     return OUTSIDE
 
 
@@ -210,9 +223,9 @@ def _first_nonzero(r):
     return next(i for i, x in enumerate(r) if x)
 
 
-def _on_ray(v, r):
-    """Whether the integer vector v is a positive multiple of r."""
-    k = _first_nonzero(r)
+def _on_ray(v, r, k):
+    """Whether the integer vector v is a positive multiple of r, whose
+    first nonzero entry is r[k]."""
     return v[k] * r[k] > 0 and all(a * r[k] == v[k] * b for a, b in zip(v, r))
 
 
@@ -253,7 +266,8 @@ def certificate_search(system: SpliceSystem, w, truncation: TruncationContext | 
     w-weight; it qualifies when the count of strictly heavier surviving
     positions plus truncation-killed slots reaches two (and every surviving
     tail term weighs strictly more).  Coefficients come from exact
-    elimination against the Hamm matrix.
+    elimination against the Hamm matrix, once per winner and slots
+    (``CoefficientMatrix.certificate``).
     """
     diagram = system.diagram
     kill = set(truncation.indices(diagram)) if truncation else set()
@@ -277,7 +291,7 @@ def certificate_search(system: SpliceSystem, w, truncation: TruncationContext | 
             continue
         if not _tails_clear(system, v, w, kill, low):
             continue
-        y = _combination_coefficients(system, v, [win] + slots)
+        y = block.matrix.certificate(win, slots)
         cert = Certificate(
             node=v,
             edge=(v, block.star[win]),
@@ -298,16 +312,6 @@ def _tails_clear(system, v, w, kill, low):
             if dot(w, m) <= low:
                 return False
     return True
-
-
-def _combination_coefficients(system, v, keep):
-    block = system.blocks[v]
-    y = node_certificate_combination(system, v, set(keep))
-    win = keep[0]
-    lead = sum(c * yc for c, yc in zip(block.matrix.rows[win], y))
-    if lead == 0:
-        raise VerificationFailed(f"certificate elimination degenerated at {v!r}")
-    return tuple(yc / lead for yc in y)
 
 
 def _verify_certificate(system, w, kill, cert: Certificate):
@@ -444,7 +448,7 @@ def boundary_trop(system: SpliceSystem, leaves, samples=6, seed=0, cross_check=T
             w = tuple(
                 0 if i in kill else rng.randint(1, 40) for i in range(diagram.n)
             )
-            if _on_ray(w, full):
+            if _on_ray(w, full, _first_nonzero(full)):
                 continue
             if certificate_search(system, w, trunc) is None:
                 raise VerificationFailed(

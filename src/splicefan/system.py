@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .diagram import SpliceDiagram, _below, admissible_edge, check_conditions
-from .errors import ConditionViolation, HammViolation, TailViolation
+from .errors import ConditionViolation, HammViolation, TailViolation, VerificationFailed
 from .exact import dot, kernel_basis, nullspace_one
 from .record import Record
 
@@ -212,6 +212,21 @@ class CoefficientMatrix(Record):
         """The kernel plane's 2x2 minor at star positions p and q."""
         a, b = self.kernel
         return a[p] * b[q] - a[q] * b[p]
+
+    @cached_property
+    def _certificates(self):
+        return {}
+
+    def certificate(self, win, slots):
+        """Certificate coefficients of :func:`node_certificate_combination`
+        for star position ``win`` and two other positions ``slots``.  Kept
+        under the int tuple (win, sorted slots), so each is eliminated once
+        per matrix; an entry is stored only once it is complete."""
+        key = (win, *sorted(slots))
+        y = self._certificates.get(key)
+        if y is None:
+            y = self._certificates[key] = node_certificate_combination(self, *key)
+        return y
 
 
 def check_hamm(matrix: CoefficientMatrix) -> bool:
@@ -434,13 +449,16 @@ def combination(system: SpliceSystem, v, y) -> Polynomial:
     return out
 
 
-def node_certificate_combination(system: SpliceSystem, v, keep):
-    """Coefficients y with supp(C @ y) inside ``keep`` (3 star positions).
+def node_certificate_combination(matrix: CoefficientMatrix, win, a, b):
+    """Coefficients y, one per equation, with supp(C @ y) inside the star
+    positions {win, a, b}, normalised to 1 at win.
 
     The Hamm condition makes the complementary rows independent, so the
-    solution line is unique; it is normalised to 1 at keep[0] by the caller.
+    solution line is unique.
     """
-    block = system.blocks[v]
-    others = [j for j in range(len(block.star)) if j not in keep]
-    rows = [block.matrix.rows[j] for j in others]
-    return nullspace_one(rows, block.matrix.n_equations)
+    rows = [row for j, row in enumerate(matrix.rows) if j not in (win, a, b)]
+    y = nullspace_one(rows, matrix.n_equations)
+    lead = sum(c * yc for c, yc in zip(matrix.rows[win], y))
+    if lead == 0:
+        raise VerificationFailed(f"certificate elimination degenerated at {matrix.node!r}")
+    return tuple(yc / lead for yc in y)

@@ -277,6 +277,20 @@ def test_cli_member_batch_deterministic(d1_path):
     assert len(json.loads(out1)["payload"]["queries"]) == 6
 
 
+def test_cli_member_samples_only_strictly_positive_queries():
+    """The sampler's cone points are strictly positive as drawn, on the
+    recorded generator outputs and the 40-leaf document."""
+    diagrams = [e["diagram"] for e in json.loads((DATA / "random_diagrams.json").read_text())]
+    diagrams.append(json.loads(DIAGRAM_40.read_text()))
+    for doc in diagrams:
+        diagram = diagram_from_doc(doc)
+        fan = splice_fan(diagram)
+        for seed in (0, 1, 2):
+            queries = cli._sample_queries(diagram, fan, 40, seed)
+            assert len(queries) == 40
+            assert all(min(w) > 0 for w in queries), (doc, seed)
+
+
 def test_cli_endcurve(d1_path):
     code, out = run_cli("endcurve", d1_path, "--root", "l1")
     payload = json.loads(out)["payload"]

@@ -2,6 +2,9 @@
 
 import json
 import random
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from splicefan import (
     splice_fan,
 )
 from conftest import LADDER, make_d1, system_for
+from splicefan import system as system_module
 from splicefan.documents import diagram_from_doc
 from splicefan.exact import dot, kernel_basis, rref
 from splicefan.fan import OUTSIDE, CellLocation, _random_kernel_vector
@@ -363,15 +367,18 @@ def test_membership_golden(d1_system, d1, d1_fan):
     assert cone.status == "in" and cone.cell.label == ("l1", "u")
 
 
+def _recorded_diagrams():
+    recorded = json.loads((DATA / "random_diagrams.json").read_text())
+    return [diagram_from_doc(entry["diagram"]) for entry in recorded]
+
+
 def test_certificate_values_pair_w_with_every_star_exponent():
     """On the recorded generator outputs, Vandermonde and seed-12 random
     coefficients, untruncated and with one leaf killed: each certificate's
     values are dot(w, exponent) as Fractions, in star order."""
-    recorded = json.loads((DATA / "random_diagrams.json").read_text())
     rng = random.Random(3)
     found = truncated = 0
-    for entry in recorded:
-        d = diagram_from_doc(entry["diagram"])
+    for d in _recorded_diagrams():
         fan = splice_fan(d)
         for seed in (None, 12):
             system = system_for(d, seed)
@@ -391,6 +398,68 @@ def test_certificate_values_pair_w_with_every_star_exponent():
                     assert list(cert.values.values()) == expected
                     assert all(type(x) is Fraction for x in cert.values.values())
     assert found and truncated
+
+
+def test_certificate_tables_fill_once_and_keep_the_answers(monkeypatch):
+    """On the recorded generator outputs, Vandermonde and seed-12 random
+    coefficients: two passes of sampled queries over one system and fan
+    answer as a fresh system and fan do, and so do two passes of truncated
+    searches through boundary_trop; each matrix eliminates each (winner,
+    slots) once, in the first pass."""
+    calls = Counter()
+    eliminate = system_module.node_certificate_combination
+
+    def counted(matrix, win, a, b):
+        calls[id(matrix), win, a, b] += 1
+        return eliminate(matrix, win, a, b)
+
+    monkeypatch.setattr(system_module, "node_certificate_combination", counted)
+    rng = random.Random(7)
+    kept = []  # ids stay unique while the systems live
+    for d in _recorded_diagrams():
+        fan = splice_fan(d)
+        for seed in (None, 12):
+            system = system_for(d, seed)
+            kept.append(system)
+            queries = _draw_queries(rng, d, fan, 4)
+            truncations = [rng.choice(d.leaves)], rng.sample(d.leaves, 2)
+            passes = []
+            for _ in range(2):
+                before = sum(calls.values())
+                answers = [membership(system, w, fan) for w in queries]
+                answers += [boundary_trop(system, t, samples=3, seed=1) for t in truncations]
+                passes.append(answers)
+            assert sum(calls.values()) == before  # the second pass eliminated nothing
+            assert passes[0] == passes[1]
+            fresh = [system_for(d, seed) for _ in queries]
+            kept += fresh
+            assert passes[0][: len(queries)] == [
+                membership(s, w, splice_fan(d)) for s, w in zip(fresh, queries)
+            ]
+    assert calls and set(calls.values()) == {1}
+
+
+def test_batch_queries_on_cold_systems_run_concurrently():
+    """Queries on cold systems and fans, from four threads switching as
+    often as the interpreter allows, answer exactly as serial queries on
+    other copies do."""
+    rng = random.Random(9)
+    jobs, serial = [], []
+    for d in _recorded_diagrams()[::4]:
+        system, fan = system_for(d, 12), splice_fan(d)
+        reference, reference_fan = system_for(d, 12), splice_fan(d)
+        for w in _draw_queries(rng, d, fan, 12):
+            jobs.append((system, w, fan))
+            serial.append(membership(reference, w, reference_fan))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(membership, *job) for job in jobs]
+            answers = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == serial
 
 
 # -- oracle ---------------------------------------------------------------------
