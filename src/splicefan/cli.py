@@ -3,10 +3,9 @@
 Every command reads JSON documents, runs one library operation and prints a
 CommandReport: {"command", "status", "payload"}.  Output bytes are a pure
 function of the inputs and flags.  Exit codes: 0 ok, 1 semantic refusal or
-violated condition, 2 unreadable input, 3 infeasible request.  Only the
-semigroup search's split still recurses, about two frames per node along a
-path, so a diagram whose search runs deeper than the recursion limit is
-refused with exit 1 and a report.
+violated condition, 2 unreadable input, 3 infeasible request.  No step
+recurses, so a deep diagram is answered like any other: a 600-node chain
+gets its condition report, or its refusal, at the default recursion limit.
 """
 
 from __future__ import annotations
@@ -359,7 +358,7 @@ def main(argv=None) -> int:
     except _Refusal as refusal:
         _emit(args.command, refusal.status, refusal.payload)
         return refusal.code
-    except (SpliceError, RecursionError) as exc:
+    except SpliceError as exc:
         _emit(args.command, "error", {"error": type(exc).__name__, "message": str(exc)})
         return EXIT_REFUSED
     _emit(args.command, status, payload)

@@ -12,11 +12,11 @@ import math
 import random
 from bisect import bisect_left
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import gcd
 
 from .errors import GenerationExhausted
-from .record import Record, hidden
+from .record import Record
 
 # half-edge weight pool for the random generator: primes and prime powers <= 49
 WEIGHT_POOL = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
@@ -87,7 +87,7 @@ class SpliceDiagram:
             for v, nbrs in adjacency.items()
         }
         self._index_tree()
-        self._conditions = None
+        self._conditions = self._coweights = None
 
     def _index_tree(self):
         """One iterative depth-first walk from the first vertex, then from
@@ -196,26 +196,18 @@ class SpliceDiagram:
         raise KeyError(f"no first step from {v!r} to {x!r}")
 
     def geodesic(self, u, v):
-        """The unique vertex path from u to v (endpoints included)."""
-        if u == v:
-            return [u]
-        parent = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for y in self._adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    stack.append(y)
-        if v not in parent:
-            raise KeyError(f"no path from {u!r} to {v!r}")
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+        """The unique vertex path from u to v (endpoints included): up from
+        u through the parents to the first vertex whose Euler interval holds
+        v, then down to v."""
+        self._require_tree()
+        enter, exit_, parent = self._enter, self._exit, self._parent
+        up, t = [u], enter[v]
+        while not enter[up[-1]] <= t < exit_[up[-1]]:
+            up.append(parent[up[-1]])
+        down = [v]
+        while down[-1] != up[-1]:
+            down.append(parent[down[-1]])
+        return up + down[-2::-1]
 
     def _beyond_interval(self, v, u):
         """The side beyond the edge [v, u] as a test on preorder numbers:
@@ -396,8 +388,14 @@ def edge_determinant(diagram: SpliceDiagram, edge) -> int:
         raise ValueError(f"edge ({a!r}, {b!r}) is not internal")
     if b not in diagram.neighbors(a):
         raise ValueError(f"({a!r}, {b!r}) is not an edge")
-    off = diagram.weights_off(a, b) * diagram.weights_off(b, a)
-    return diagram.weight(a, b) * diagram.weight(b, a) - off
+    return _edge_determinant(diagram._adj, diagram._weights, a, b)
+
+
+def _edge_determinant(adjacent, weights, a, b):
+    """The edge determinant of adjacent nodes a and b from their two stars,
+    for a diagram and for the generator's attempt alike."""
+    off = _weights_off(adjacent, weights, a, b) * _weights_off(adjacent, weights, b, a)
+    return weights[(a, b)] * weights[(b, a)] - off
 
 
 def semigroup_decompose(diagram: SpliceDiagram, v, e):
@@ -405,26 +403,35 @@ def semigroup_decompose(diagram: SpliceDiagram, v, e):
 
     The sum runs over the leaves beyond the edge e = [v, u]; returns an
     AdmissibleCoweight or None when the edge weight is not in the semigroup
-    spanned by the reduced linking numbers.  The leaves are settled in leaf
-    order, each at the smallest exponent that leaves a remainder in the
-    semigroup of the leaves after it, which a tree-split membership test
-    (:class:`_Semigroups`) decides.
+    spanned by the reduced linking numbers.  It runs a search of its own;
+    :func:`admissible_coweights` shares one among all of a diagram's edges.
     """
     u = e[1] if e[0] == v else e[0]
     if not diagram.is_node(v):
         raise ValueError(f"{v!r} is not a node")
     if u not in diagram.neighbors(v):
         raise ValueError(f"{e!r} is not an edge at {v!r}")
+    return _decompose(_Semigroups(diagram), v, u)
+
+
+def _decompose(search, v, u):
+    """The lex-smallest decomposition of d(v, u) on ``search``, or None.
+
+    The leaves beyond u are settled in leaf order, each at the smallest
+    exponent that leaves a remainder in the semigroup of the leaves after
+    it, which the search's membership test decides.
+    """
+    diagram = search.diagram
     r = diagram.weight(v, u)
-    semigroups = _Semigroups(diagram, v, u)
-    if not semigroups.member(0, r):
+    if not search.member(v, u, 0, r):
         return None
     # the leaves beyond u in leaf order and the gcds of their later generators
-    indices, rest_gcd = semigroups.below(v, u)
+    indices, rest_gcd = search.below(v, u)
+    side = diagram.side_row(v, u)
     coeffs = {}
     for p, k in enumerate(indices):
         leaf = diagram.leaves[k]
-        a = semigroups.side[leaf][1]
+        a = side[leaf][1]
         gs = rest_gcd[p + 1]
         if gs:
             # x*a == r (mod gs, the later leaves' gcd): walk that progression
@@ -435,7 +442,7 @@ def semigroup_decompose(diagram: SpliceDiagram, v, e):
         else:
             start, m = r // a, 1  # the last leaf takes what is left
         x = next((x for x in range(start, r // a + 1, m)
-                  if semigroups.member(k + 1, r - x * a)), None)
+                  if search.member(v, u, k + 1, r - x * a)), None)
         if x is None:
             raise AssertionError(f"membership test is inconsistent at {leaf!r}")
         if x:
@@ -468,100 +475,123 @@ def admissible_edge(diagram: SpliceDiagram, v, exponent):
 
 
 class _Semigroups:
-    """Membership in the semigroups S(i) spanned by l'(v, l) over the leaves
-    l beyond one directed edge [v, u] with leaf index at least i.
+    """Membership in the semigroups S(x->y, i) spanned by l'(x, l) over the
+    leaves l beyond the directed edge [x, y] with leaf index at least i, for
+    every directed edge of one diagram.
 
-    The generators are read from the side row of [v, u].  Seen from v, the
-    leaves below a vertex y beyond u split over y's children b (v itself has
-    the one child u), so S(i) restricted to y's subtree is the sum of the
-    parts S(b, i) of its children.  A target is split one part at a time,
-    largest gcd first, each share running over the congruence progression
-    that the later parts' gcd allows.  A leaf child's part is N * l'(v, b),
-    which holds every share offered to it, so the search never enters a
-    leaf; a node child's share is split again at that node.
+    Targets are relative to their edge.  At a node y the leaves beyond [x, y]
+    split over y's children b (its neighbours other than x), and
+    l'(x, l) = A_b * l'(y, l) with A_b the product of y's weights off x and
+    b, so S(x->y, i) is the sum of the parts A_b * S(y->b, i).  A target is
+    split one part at a time, largest gcd first, each share running over the
+    congruence progression that the later parts' gcd allows.  A leaf child's
+    part is N * A_b, which holds every share offered to it, so the search
+    never enters a leaf; a node child's share, divided by A_b, is split
+    again at b.  Every answer is kept under (x, y, i, j, r), the split of r
+    over parts j onward, so the searches of all the edges share it.
 
-    The memos live on the instance and no method is stored on it, so they go
-    by reference count when the instance does.
+    Each split is a generator that yields the keys it needs and is sent
+    their answers, driven by one explicit stack (:meth:`_settle`), so the
+    search keeps no Python frames per level of the tree.  The memos live on
+    the instance, which refers to nothing but its diagram.
     """
 
-    def __init__(self, diagram, v, u):
-        self.diagram, self.v, self.u, self.side = diagram, v, u, diagram.side_row(v, u)
+    def __init__(self, diagram):
+        self.diagram = diagram
         self._below, self._parts, self._seen = {}, {}, {}
 
-    def member(self, i, t):
-        """Whether t lies in S(i)."""
-        return t >= 0 and self._split(self.v, i, 0, t)
+    def member(self, x, y, i, t):
+        """Whether t lies in S(x->y, i)."""
+        if t < 0:
+            return False
+        d = self.diagram
+        if d.is_leaf(y):  # S(x->y, i) is N when y counts, {0} when not
+            return t == 0 or d.leaf_index(y) >= i
+        g = self._parts_at(x, y, i)[1][0]
+        return t == 0 or g != 0 and t % g == 0 and self._settle((x, y, i, 0, t))
 
     def below(self, y, b):
-        """(indices, gcds) for a child b of y: the leaf indices below b in
-        ascending order and the suffix gcds of their generators, listed once."""
-        out = self._below.get(b)
-        if out is None:
-            d, side = self.diagram, self.side
-            leaves = [b] if d.is_leaf(b) else d.leaves_beyond(y, b)
-            out = self._below[b] = ([d.leaf_index(l) for l in leaves],
-                                    _suffix_gcds([side[l][1] for l in leaves]))
-        return out
-
-    def _parts_at(self, y, i):
-        """(parts, gcds) of the split at y.  parts are (gcd of S(b, i), b, i_b)
-        over y's children b with a leaf from i on, largest first, where i_b
-        is the first leaf index below b from i on, so S(b, i) = S(b, i_b)
-        and the gcd is one bisection into b's listed leaves; gcds[j] is the
-        gcd of parts[j:], 0 when there are none."""
-        out = self._parts.get((y, i))
+        """(indices, gcds) for the edge [y, b]: the leaf indices beyond b in
+        ascending order and the suffix gcds of their generators l'(y, l),
+        listed once."""
+        out = self._below.get((y, b))
         if out is None:
             d = self.diagram
-            if y == self.v:
-                children = (self.u,)
-            else:
-                back = d.first_step(y, self.v)
-                children = [b for b in d.neighbors(y) if b != back]
-            parts = []
-            for b in children:
-                indices, gcds = self.below(y, b)
-                k = bisect_left(indices, i)
-                if k < len(indices):
-                    parts.append((gcds[k], b, indices[k]))
-            # largest generator first: its share has the fewest candidates
-            parts.sort(reverse=True)
-            out = self._parts[y, i] = parts, _suffix_gcds([g for g, _, _ in parts])
+            leaves = [b] if d.is_leaf(b) else d.leaves_beyond(y, b)
+            side = d.side_row(y, b)
+            out = self._below[y, b] = ([d.leaf_index(l) for l in leaves],
+                                       _suffix_gcds([side[l][1] for l in leaves]))
         return out
 
-    def _split(self, y, i, j, r):
-        """Whether r >= 0 lies in the sum of parts[j:] at y."""
-        if r == 0:
-            return True
-        parts, gcds = self._parts_at(y, i)
-        g = gcds[j]
-        if g == 0 or r % g:
-            return False
-        out = self._seen.get((y, i, j, r))
-        if out is not None:
-            return out
-        a, b, i_b = parts[j]
+    def _parts_at(self, x, y, i):
+        """(parts, gcds) of the split of S(x->y, i) at y.  parts are
+        (gcd of A_b * S(y->b, i), b, i_b, gcd of S(y->b, i)) over y's
+        children b with a leaf from i on, largest first, where i_b is the
+        first leaf index beyond b from i on, so S(y->b, i) = S(y->b, i_b)
+        and its gcd is one bisection into b's listed leaves; gcds[j] is the
+        gcd of parts[j:], 0 when there are none."""
+        out = self._parts.get((x, y, i))
+        if out is None:
+            d = self.diagram
+            off = d.weights_off(y, x)
+            parts = []
+            for b in d.neighbors(y):
+                if b != x:
+                    indices, gcds = self.below(y, b)
+                    k = bisect_left(indices, i)
+                    if k < len(indices):
+                        a = off // d.weight(y, b) * gcds[k]
+                        parts.append((a, b, indices[k], gcds[k]))
+            # largest generator first: its share has the fewest candidates
+            parts.sort(reverse=True)
+            out = self._parts[x, y, i] = parts, _suffix_gcds([a for a, _, _, _ in parts])
+        return out
+
+    def _settle(self, key):
+        """The answer for key (x, y, i, j, r), r > 0 a multiple of the gcd of
+        parts[j:], driving the splits it needs from one stack of suspended
+        generators; each runs once and is never restarted."""
+        seen, split = self._seen, self._split
+        value = seen.get(key)
+        stack = [] if value is not None else [(key, split(*key))]
+        while stack:
+            key, frame = stack[-1]
+            try:
+                need = frame.send(value)
+            except StopIteration as done:
+                value = seen[key] = done.value
+                stack.pop()
+                continue
+            # a yielded key's target is a multiple of its parts' gcd already
+            value = need[4] == 0 or seen.get(need)
+            if value is None:
+                stack.append((need, split(*need)))
+        return value
+
+    def _split(self, x, y, i, j, r):
+        """Whether r lies in the sum of parts[j:] at y, as a generator that
+        yields each key it needs: a node child's share, a multiple of that
+        child's gcd, and the rest for parts[j + 1:], on the progression of
+        their gcd."""
+        parts, gcds = self._parts_at(x, y, i)
+        a, b, i_b, g_b = parts[j]
         leaf = self.diagram.is_leaf(b)
         if j == len(parts) - 1:
-            out = leaf or self._split(b, i_b, 0, r)
-        else:
-            # a*t == r (mod gcds[j + 1]); walk that progression
-            m = gcds[j + 1] // g
-            start = (r // g) * pow(a // g, -1, m) % m
-            out = any(
-                (leaf or self._split(b, i_b, 0, t * a)) and self._split(y, i, j + 1, r - t * a)
-                for t in range(start, r // a + 1, m)
-            )
-        self._seen[y, i, j, r] = out
-        return out
+            return leaf or (yield (y, b, i_b, 0, r // a * g_b))
+        # a*t == r (mod gcds[j + 1]); walk that progression
+        g = gcds[j]
+        m = gcds[j + 1] // g
+        start = (r // g) * pow(a // g, -1, m) % m
+        for t in range(start, r // a + 1, m):
+            if (leaf or (yield (y, b, i_b, 0, t * g_b))) and (yield (x, y, i, j + 1, r - t * a)):
+                return True
+        return False
 
 
 class ConditionReport(Record):
     edge_determinant: bool
     semigroup: bool
     coprime: bool
-    # (node, neighbour) -> AdmissibleCoweight, the semigroup condition's
-    # witnesses; None when that condition fails
-    admissible: dict | None = hidden(None)
 
     def all(self) -> bool:
         return self.edge_determinant and self.semigroup and self.coprime
@@ -569,7 +599,8 @@ class ConditionReport(Record):
 
 def check_conditions(diagram: SpliceDiagram) -> ConditionReport:
     """The diagram's condition report, computed on the first call and kept
-    on the diagram."""
+    on the diagram.  The semigroup condition is one membership test per
+    (node, neighbour) on one shared search; no witness is extracted."""
     report = diagram._conditions
     if report is None:
         report = diagram._conditions = _condition_report(diagram)
@@ -578,27 +609,27 @@ def check_conditions(diagram: SpliceDiagram) -> ConditionReport:
 
 def _condition_report(diagram):
     det_ok = all(edge_determinant(diagram, e) > 0 for e in diagram.internal_edges())
-    admissible = _admissible_coweights(diagram)
-    coprime_ok = True
-    for v in diagram.nodes:
-        ws = [diagram.weight(v, u) for u in diagram.neighbors(v)]
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                if gcd(ws[i], ws[j]) != 1:
-                    coprime_ok = False
-    return ConditionReport(det_ok, admissible is not None, coprime_ok, admissible)
+    search = _Semigroups(diagram)
+    semigroup_ok = all(search.member(v, u, 0, diagram.weight(v, u))
+                       for v in diagram.nodes for u in diagram.neighbors(v))
+    coprime_ok = all(gcd(diagram.weight(v, a), diagram.weight(v, b)) == 1
+                     for v in diagram.nodes for a, b in combinations(diagram.neighbors(v), 2))
+    return ConditionReport(det_ok, semigroup_ok, coprime_ok)
 
 
-def _admissible_coweights(diagram: SpliceDiagram):
-    """The lex-smallest decomposition of every (node, neighbour) edge weight,
-    or None as soon as one edge weight has none."""
-    out = {}
-    for v in diagram.nodes:
-        for u in diagram.neighbors(v):
-            coweight = semigroup_decompose(diagram, v, (v, u))
-            if coweight is None:
-                return None
-            out[(v, u)] = coweight
+def admissible_coweights(diagram: SpliceDiagram):
+    """{(node, neighbour): AdmissibleCoweight}, the lex-smallest
+    decomposition of every edge weight at a node, from one search shared by
+    all of them.  Computed on the first call and kept on the diagram once
+    complete; None, and nothing kept, when one edge weight has none."""
+    out = diagram._coweights
+    if out is None:
+        search = _Semigroups(diagram)
+        out = {(v, u): _decompose(search, v, u)
+               for v in diagram.nodes for u in diagram.neighbors(v)}
+        if None in out.values():
+            return None
+        diagram._coweights = out
     return out
 
 
@@ -764,12 +795,10 @@ def _attempt(rng, n_leaves, n_nodes, require_coprime):
         weights[(v, u)] = value
         used[v] *= value
 
-    # every weight is drawn; an internal edge [a, b] whose determinant
-    # w(a,b)*w(b,a) - (a's weights off b)*(b's weights off a) is not positive
-    # rejects the attempt before a diagram is built
+    # every weight is drawn; an internal edge whose determinant is not
+    # positive rejects the attempt before a diagram is built
     for a, b in node_edges:
-        off = _weights_off(adjacency, weights, a, b) * _weights_off(adjacency, weights, b, a)
-        if weights[(a, b)] * weights[(b, a)] <= off:
+        if _edge_determinant(adjacency, weights, a, b) <= 0:
             return None
 
     edges = [(v, leaf, weights[(v, leaf)], None) for v, leaf in leaf_edges]

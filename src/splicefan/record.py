@@ -15,31 +15,15 @@ class FrozenRecordError(AttributeError):
     """An attribute of a record was assigned or deleted."""
 
 
-class hidden:
-    """A field default that keeps the field out of repr, equality and hash."""
-
-    __slots__ = ("default",)
-
-    def __init__(self, default):
-        self.default = default
-
-
 class Record:
-    _init = ()    # (name, default) per constructor argument, in order
-    _shown = ()   # the fields in repr, equality and hash, in order
+    _init = ()    # (name, default) per field, in constructor order
+    _shown = ()   # the field names in that order, for repr, equality and hash
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        init, shown = list(cls._init), list(cls._shown)
-        for name in cls.__dict__.get("__annotations__", {}):
-            default = cls.__dict__.get(name, _MISSING)
-            if isinstance(default, hidden):
-                default = default.default
-                setattr(cls, name, default)
-            else:
-                shown.append(name)
-            init.append((name, default))
-        cls._init, cls._shown = tuple(init), tuple(shown)
+        own = cls.__dict__.get("__annotations__", {})
+        cls._init += tuple((name, cls.__dict__.get(name, _MISSING)) for name in own)
+        cls._shown = tuple(name for name, _ in cls._init)
 
     def __init__(self, *args, **kwargs):
         fields = self._init

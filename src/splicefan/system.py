@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .diagram import SpliceDiagram, _below, admissible_edge, check_conditions
+from .diagram import SpliceDiagram, _below, admissible_coweights, admissible_edge, check_conditions
 from .errors import ConditionViolation, HammViolation, TailViolation, VerificationFailed
 from .exact import dot, kernel_basis, nullspace_one
 from .record import Record
@@ -411,7 +411,7 @@ def build_system(diagram: SpliceDiagram, coeffs=None, tails=None, coweights=None
         for u in star:
             override = coweights.get((v, u))
             if override is None:
-                exponents.append(report.admissible[(v, u)].exponent(diagram.leaves))
+                exponents.append(admissible_coweights(diagram)[(v, u)].exponent(diagram.leaves))
                 continue
             exponent = tuple(override.get(leaf, 0) for leaf in diagram.leaves)
             if not all(map(diagram.is_leaf, override)) or (

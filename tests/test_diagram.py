@@ -1,7 +1,9 @@
 """Diagram structure, linking numbers, conditions and the random generator."""
 
 import gc
+import itertools
 import json
+import math
 import sys
 import threading
 import tracemalloc
@@ -9,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from chain_probe import CHAIN_REPORT, chain_doc, probe, valid_chain_doc
+from chain_probe import (
+    CHAIN_REPORT,
+    VALID_CHAIN_REPORT,
+    chain_doc,
+    probe,
+    random_chain_doc,
+    valid_chain_doc,
+)
 from conftest import LADDER, NOT_A_TREE
 from splicefan import (
     GenerationExhausted,
@@ -25,6 +34,7 @@ from splicefan import (
     validate,
 )
 from splicefan import diagram as diagram_module
+from splicefan.diagram import admissible_coweights
 from splicefan.documents import diagram_from_doc, diagram_to_doc
 
 
@@ -189,20 +199,25 @@ def test_semigroup_search_leaves_no_cyclic_garbage():
 
 
 def test_condition_report_is_kept_on_its_diagram(monkeypatch):
+    """The report and the witnesses are each computed once and kept; the
+    report extracts no witness, and the witness pass extracts one per
+    (node, neighbour)."""
     d = random_diagram(9, 3, 1)
     fresh = diagram_from_doc(diagram_to_doc(d))
     calls = []
-    search = diagram_module.semigroup_decompose
+    extract = diagram_module._decompose
 
     def counted(*args):
         calls.append(args)
-        return search(*args)
+        return extract(*args)
 
-    monkeypatch.setattr(diagram_module, "semigroup_decompose", counted)
+    monkeypatch.setattr(diagram_module, "_decompose", counted)
     first = check_conditions(fresh)
+    assert check_conditions(fresh) is first and calls == []
+    witnesses = admissible_coweights(fresh)
     searched = len(calls)
     assert searched == sum(fresh.valency(v) for v in fresh.nodes)
-    assert check_conditions(fresh) is first
+    assert admissible_coweights(fresh) is witnesses
     assert len(calls) == searched
     # the generator's own check is kept on the diagram it hands out
     assert check_conditions(d) == first and len(calls) == searched
@@ -486,7 +501,8 @@ def test_threads_reading_a_fresh_diagram_get_the_single_thread_values():
     doc = json.loads((DATA / "random_40_14_seed0.json").read_text())
 
     def every_linking_number(d):
-        return {u: d.linking_row(u) for u in d.vertices}
+        rows = {u: d.linking_row(u) for u in d.vertices}
+        return rows, check_conditions(d), admissible_coweights(d)
 
     expected = every_linking_number(diagram_from_doc(doc))
     shared = diagram_from_doc(doc)
@@ -533,42 +549,53 @@ def test_the_linking_layer_on_deep_chains_is_iterative_and_linear(length, rows, 
     assert peak < bound_mb * 2**20, peak
 
 
-def test_check_conditions_reports_on_a_deep_chain():
-    """The 1,200-node chain gets its condition report under a recursion
-    limit only 100 frames above the caller's: the semigroup search stops at
-    its first failing edge and walks no deeper."""
-    d = diagram_from_doc(chain_doc(1200))
+def _report_under_a_low_recursion_limit(d):
+    """check_conditions(d) under a recursion limit 100 frames above the
+    caller's, as its three flags."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:
         report = check_conditions(d)
     finally:
         sys.setrecursionlimit(limit)
-    assert (report.edge_determinant, report.semigroup, report.coprime) == CHAIN_REPORT
+    return report.edge_determinant, report.semigroup, report.coprime
 
 
-def test_check_conditions_on_a_deep_chain_recurses_only_in_the_semigroup_search():
-    """A 600-node chain whose semigroup condition holds still exceeds a
-    recursion limit 1,000 frames above the caller's, but only in
-    _Semigroups._split: every linking number the search reads comes from a
-    walk, and every gcd from a listed side."""
+def test_check_conditions_reports_on_a_deep_chain():
+    """The 1,200-node chain gets its condition report under a recursion
+    limit only 100 frames above the caller's: the semigroup search stops at
+    its first failing edge and walks no deeper."""
+    d = diagram_from_doc(chain_doc(1200))
+    assert _report_under_a_low_recursion_limit(d) == CHAIN_REPORT
+
+
+def test_check_conditions_answers_a_deep_valid_chain():
+    """The 600-node chain whose semigroup condition holds gets its report
+    under a recursion limit 100 frames above the caller's: the semigroup
+    search keeps its own stack."""
     d = diagram_from_doc(valid_chain_doc(600))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + 1000)
-    try:
-        with pytest.raises(RecursionError) as info:
-            check_conditions(d)
-    finally:
-        sys.setrecursionlimit(limit)
-    names, tb = [], info.tb
-    while tb is not None:
-        names.append(tb.tb_frame.f_code.co_qualname)
-        tb = tb.tb_next
-    split = [i for i, name in enumerate(names) if name.startswith("_Semigroups._split")]
-    # one unbroken run of the split's frames, and the limit hit in it or in
-    # what its deepest frame calls to list a node's parts (_parts_at, below,
-    # leaves_beyond, _beyond_interval)
-    assert len(split) > 500 and split[-1] - split[0] == len(split) - 1, names[-8:]
-    assert len(names) - 1 - split[-1] <= 4, names[-8:]
-    linking = ("SpliceDiagram.linking_row", "SpliceDiagram.side_row", "walk_beyond")
-    assert not any(name in linking for name in names)
+    assert _report_under_a_low_recursion_limit(d) == VALID_CHAIN_REPORT
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_check_conditions_answers_a_random_weight_chain(seed):
+    """A 200-node chain weighted as the generator weights, without its
+    determinant rejection, gets its report under a low recursion limit; the
+    semigroup condition holds by construction, and the other two flags
+    agree with the edge determinants and the weights."""
+    d = diagram_from_doc(random_chain_doc(200, seed))
+    determinants = all(edge_determinant(d, e) > 0 for e in d.internal_edges())
+    coprime = all(math.gcd(d.weight(v, a), d.weight(v, b)) == 1
+                  for v in d.nodes for a, b in itertools.combinations(d.neighbors(v), 2))
+    assert _report_under_a_low_recursion_limit(d) == (determinants, True, coprime)
+
+
+def test_shared_witnesses_equal_one_off_decompositions(index_pool):
+    """The witness pass's one shared search gives each (node, neighbour)
+    the decomposition a search of its own gives, on pool_small, the 142
+    recorded generator outputs and the 40-leaf document."""
+    for d in index_pool:
+        witnesses = admissible_coweights(d)
+        assert len(witnesses) == sum(d.valency(v) for v in d.nodes)
+        for (v, u), coweight in witnesses.items():
+            assert semigroup_decompose(d, v, (v, u)) == coweight, (d, v, u)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from chain_probe import CHAIN_REPORT, chain_doc, valid_chain_doc
+from chain_probe import CHAIN_REPORT, VALID_CHAIN_REPORT, chain_doc, valid_chain_doc
 from conftest import NOT_A_TREE, system_for, worked_coefficients
 from splicefan import (
     ConditionViolation,
@@ -371,17 +371,18 @@ def test_cli_system_searches_each_edge_weight_once(tmp_path, monkeypatch, capsys
     path = tmp_path / "r9.json"
     path.write_text(json.dumps(diagram_to_doc(random_diagram(9, 3, 1))))
     calls = []
-    search = diagram_module.semigroup_decompose
+    extract = diagram_module._decompose
 
     def counted(*args):
         calls.append(args)
-        return search(*args)
+        return extract(*args)
 
-    monkeypatch.setattr(diagram_module, "semigroup_decompose", counted)
+    monkeypatch.setattr(diagram_module, "_decompose", counted)
     assert cli.main(["system", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "ok"
-    # one search per (node, neighbour): the loader's check and build_system's
-    # share the report kept on the diagram
+    # one witness per (node, neighbour), all from build_system's one pass:
+    # the loader's check and build_system's share the report kept on the
+    # diagram, and the report extracts none
     assert len(calls) == 13
 
 
@@ -445,12 +446,17 @@ def test_cli_answers_a_deep_chain_with_its_conditions(chain_path, command):
 
 
 @pytest.mark.parametrize("command", ["check", "fan", "roundtrip"])
-def test_cli_refuses_a_diagram_deeper_than_the_recursion_limit(valid_chain_path, command):
-    """The semigroup search on a 600-node chain whose condition holds passes
-    the recursion limit; the CLI refuses it with a report."""
+def test_cli_answers_a_deep_valid_chain_with_its_conditions(valid_chain_path, command):
+    """The 600-node chain whose semigroup condition holds fails its edge
+    determinants and coprimality: check reports the three flags, fan and
+    roundtrip refuse it for its edge determinants."""
     code, report = _run_module_cli(command, valid_chain_path)
-    assert (code, report["status"]) == (1, "error")
-    assert report["payload"]["error"] == "RecursionError"
+    assert (code, report["status"]) == (1, "violation")
+    if command == "check":
+        assert report["payload"] == dict(zip(("edge_determinant", "semigroup", "coprime"),
+                                             VALID_CHAIN_REPORT))
+    else:
+        assert report["payload"] == {"message": "edge determinant condition fails"}
 
 
 @pytest.mark.parametrize("shape", sorted(NOT_A_TREE))
